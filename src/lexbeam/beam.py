@@ -17,12 +17,25 @@ Conventions:
   multiplied in linear space.
 * Ties in log-probability break toward the lexicographically smallest
   token-id sequence, making results fully deterministic.
+* A hypothesis with probability zero (logprob ``-inf``) is dropped: it
+  can neither win nor finish.
+
+Live hypotheses are three arrays: a token matrix ``seqs`` (one row per
+hypothesis, all of one length, padded with -1 to ``max_len + 1``
+columns), their ``states`` and their ``logprobs``. Two invariants keep
+the search cheap:
+
+* The rows of ``seqs`` stay in lexicographic order, so the flat
+  candidate index ``row * V + token`` is exactly the tie-break order of
+  the extended sequences.
+* Every token that moves no state off its mask state leads a parent to
+  its own mask state, so among those tokens only the parent's
+  ``beam_width`` best (ties kept) can survive in that target's beam.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -81,7 +94,9 @@ class DecodeResult:
     ``satisfied_count`` is the actual satisfied-group count of the
     winning hypothesis, which can be below the quota only when the
     fallback tiers were used. ``per_state_finalists`` maps each FSM
-    state that produced finishers to its best completed hypotheses.
+    state that produced finishers to its best completed hypotheses (at
+    most ``beam_width``, best first). It holds finite-logprob finishers
+    only.
     """
 
     tokens: tuple[int, ...]
@@ -90,28 +105,9 @@ class DecodeResult:
     per_state_finalists: dict[int, tuple[BeamHypothesis, ...]] = field(hash=False)
 
 
-class _Node:
-    """A live hypothesis; token sequences are materialized lazily via
-    parent links. ``rank`` is the node's position in the global
-    lexicographic order of all live sequences (all the same length), so
-    candidate ties can be broken without comparing sequences."""
-
-    __slots__ = ("parent", "token", "logprob", "rank")
-
-    def __init__(self, parent: "_Node | None", token: int, logprob: float, rank: int):
-        self.parent = parent
-        self.token = token
-        self.logprob = logprob
-        self.rank = rank
-
-    def sequence(self) -> tuple[int, ...]:
-        toks: list[int] = []
-        node = self
-        while node.parent is not None:
-            toks.append(node.token)
-            node = node.parent
-        toks.reverse()
-        return tuple(toks)
+def _first_per_key(keys: np.ndarray, width: int) -> np.ndarray:
+    """Mask of the first ``width`` entries of each run of equal, sorted ``keys``."""
+    return np.arange(len(keys)) - np.searchsorted(keys, keys) < width
 
 
 def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig()) -> DecodeResult:
@@ -119,134 +115,110 @@ def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig(
 
     Raises :class:`VocabMismatchError` when scorer and FSM disagree on
     vocabulary size, and :class:`NoHypothesisError` when the quota
-    cannot be met and the fallback is disabled.
+    cannot be met and the fallback is disabled, or when no hypothesis
+    finishes with a nonzero probability.
     """
     vocab = scorer.vocab
     if len(vocab) != fsm.vocab_size:
         raise VocabMismatchError(
             f"scorer vocabulary has {len(vocab)} tokens, FSM expects {fsm.vocab_size}"
         )
-    eos = vocab.eos_id
+    eos, size, width = vocab.eos_id, len(vocab), cfg.beam_width
     trans = fsm.transitions
+    masks = np.array([label[0] for label in fsm.state_labels])
+    # Special tokens (those of some constraint) move some state off its
+    # mask state; every other ("plain") token leads each state to its
+    # own mask state.
+    moves = (trans != masks[:, None]).any(axis=0)
+    extends = np.arange(size) != eos
+    special = np.flatnonzero(moves & extends)
+    plain = np.flatnonzero(~moves & extends)
 
-    # Token ids grouped by target state, per source state (end sentinel
-    # handled separately).
-    groups_cache: dict[int, list[tuple[int, np.ndarray]]] = {}
-
-    def groups_for(state: int) -> list[tuple[int, np.ndarray]]:
-        got = groups_cache.get(state)
-        if got is None:
-            row = trans[state]
-            got = []
-            for target in np.unique(row):
-                toks = np.flatnonzero(row == target)
-                toks = toks[toks != eos]
-                if toks.size:
-                    got.append((int(target), toks))
-            groups_cache[state] = got
-        return got
-
-    root = _Node(None, -1, 0.0, 0)
-    live: dict[int, list[_Node]] = {fsm.initial_state: [root]}
-    finished: dict[int, list[tuple[float, tuple[int, ...]]]] = {}
+    # Row i holds hypothesis i's tokens, padded with -1 past its length.
+    seqs = np.full((1, cfg.max_len + 1), -1)
+    states = np.array([fsm.initial_state])
+    logprobs = np.zeros(1)
+    finished: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
     for step in range(cfg.max_len + 1):
-        rows: dict[int, np.ndarray] = {
-            s: np.stack([scorer.next_logprobs(node.sequence()) for node in nodes])
-            for s, nodes in live.items()
-        }
+        # Score one FSM state at a time, so at most ``beam_width`` rows
+        # of V scores are held at once.
+        end_lp = np.empty(len(states))
+        special_lp = np.empty((len(states), special.size))
+        plain_lp, plain_flat = [], []
+        by_state = np.argsort(states, kind="stable")
+        for rows in np.split(by_state, np.flatnonzero(np.diff(states[by_state])) + 1):
+            scores = logprobs[rows, None] + np.stack(
+                [scorer.next_logprobs(tuple(prefix)) for prefix in seqs[rows, :step].tolist()]
+            )
+            end_lp[rows] = scores[:, eos]
+            special_lp[rows] = scores[:, special]
+            rest = scores[:, plain]
+            cut = np.partition(rest, -width, axis=1)[:, -width, None] if plain.size > width else -np.inf
+            r, c = np.nonzero(rest >= cut)
+            plain_lp.append(rest[r, c])
+            plain_flat.append(rows[r] * size + plain[c])
 
-        for s in sorted(live):
-            nodes = live[s]
-            target = int(trans[s, eos])
-            bucket = finished.setdefault(target, [])
-            eos_scores = rows[s][:, eos]
-            for node, extra in zip(nodes, eos_scores):
-                bucket.append((node.logprob + float(extra), node.sequence() + (eos,)))
-            bucket.sort(key=lambda entry: (-entry[0], entry[1]))
-            del bucket[cfg.beam_width:]
-
+        done = end_lp > -np.inf
+        ends = seqs[done]
+        ends[:, step] = eos
+        finished.append((ends, end_lp[done], trans[states[done], eos]))
         if step == cfg.max_len:
             break
 
-        # Gather candidate extensions per target state.
-        registry: list[_Node] = []
-        cand: dict[int, list[list[np.ndarray]]] = {}
-        for s in sorted(live):
-            nodes = live[s]
-            scores = np.array([n.logprob for n in nodes])[:, None] + rows[s]
-            ranks = np.array([n.rank for n in nodes])
-            base = len(registry)
-            registry.extend(nodes)
-            parents = np.arange(base, base + len(nodes))
-            for target, toks in groups_for(s):
-                sub = scores[:, toks]
-                lists = cand.setdefault(target, [[], [], [], []])
-                lists[0].append(sub.ravel())
-                lists[1].append(np.repeat(ranks, toks.size))
-                lists[2].append(np.tile(toks, len(nodes)))
-                lists[3].append(np.repeat(parents, toks.size))
+        plain_flat = np.concatenate(plain_flat)
+        lp = np.concatenate([special_lp.ravel(), *plain_lp])
+        flat = np.concatenate([(np.arange(len(states))[:, None] * size + special).ravel(), plain_flat])
+        target = np.concatenate([
+            trans[np.ix_(states, special)].ravel(), masks[states[plain_flat // size]]
+        ])
+        alive = lp > -np.inf
+        lp, flat, target = lp[alive], flat[alive], target[alive]
+        order = np.lexsort((flat, -lp, target))
+        keep = order[_first_per_key(target[order], width)]
+        if not keep.size:
+            break
+        keep = keep[np.argsort(flat[keep])]
+        rows, tokens = np.divmod(flat[keep], size)
+        seqs = seqs[rows]
+        seqs[:, step] = tokens
+        states, logprobs = target[keep], lp[keep]
 
-        new_nodes: list[_Node] = []
-        live = {}
-        for target in sorted(cand):
-            lp, rank, tok, parent = (np.concatenate(part) for part in cand[target])
-            order = np.lexsort((tok, rank, -lp))[: cfg.beam_width]
-            beam = [
-                _Node(registry[parent[i]], int(tok[i]), float(lp[i]), -1)
-                for i in order
-            ]
-            live[target] = beam
-            new_nodes.extend(beam)
+    # Each state keeps its best ``beam_width`` finishers by (-logprob,
+    # tokens). No finisher is a prefix of another, as the end sentinel
+    # appears only at its end, so the -1 padding never decides an order.
+    ends, fin_lp, fin_state = (np.concatenate(part) for part in zip(*finished))
+    order = np.lexsort(tuple(ends.T[::-1]) + (-fin_lp, fin_state))
+    order = order[_first_per_key(fin_state[order], width)]
+    finalists: dict[int, list[BeamHypothesis]] = {}
+    for i in order.tolist():
+        s = int(fin_state[i])
+        tokens = tuple(t for t in ends[i].tolist() if t >= 0)
+        finalists.setdefault(s, []).append(BeamHypothesis(tokens, float(fin_lp[i]), s, True))
 
-        # Refresh global lexicographic ranks for the new generation.
-        parent_ranks = np.array([n.parent.rank for n in new_nodes])
-        tokens = np.array([n.token for n in new_nodes])
-        for pos, idx in enumerate(np.lexsort((tokens, parent_ranks))):
-            new_nodes[idx].rank = int(pos)
-
-    if cfg.length_normalize:
-        sort_key: Callable = lambda entry: (-entry[0] / len(entry[1]), entry[1])
-    else:
-        sort_key = lambda entry: (-entry[0], entry[1])
-
-    def best_at(quota: int) -> tuple[float, tuple[int, ...], int] | None:
-        pool = [
-            (lp, seq, s)
-            for s, bucket in finished.items()
-            if fsm.satisfied_count(s) >= quota
-            for lp, seq in bucket
-        ]
-        if not pool:
-            return None
-        lp, seq, s = min(pool, key=lambda entry: sort_key(entry[:2]))
-        return lp, seq, s
-
-    best = best_at(fsm.min_satisfied)
-    if best is None:
-        if not cfg.min_satisfied_fallback:
-            raise NoHypothesisError(
-                f"no completed hypothesis satisfies {fsm.min_satisfied} "
-                f"constraint(s) within {cfg.max_len} tokens"
-            )
-        for quota in range(fsm.min_satisfied - 1, -1, -1):
-            best = best_at(quota)
-            if best is not None:
-                break
-    if best is None:
+    reached = max((fsm.satisfied_count(s) for s in finalists), default=-1)
+    if reached < fsm.min_satisfied and not cfg.min_satisfied_fallback:
+        raise NoHypothesisError(
+            f"no completed hypothesis satisfies {fsm.min_satisfied} "
+            f"constraint(s) within {cfg.max_len} tokens"
+        )
+    if reached < 0:
         raise NoHypothesisError("no completed hypothesis at any satisfaction tier")
+    tier = min(fsm.min_satisfied, reached)
 
-    logprob, seq, state = best
-    finalists = {
-        s: tuple(BeamHypothesis(seq, lp, s, True) for lp, seq in bucket)
-        for s, bucket in sorted(finished.items())
-        if bucket
-    }
+    def rank(hyp: BeamHypothesis) -> tuple:
+        score = hyp.logprob / len(hyp.tokens) if cfg.length_normalize else hyp.logprob
+        return -score, hyp.tokens
+
+    best = min(
+        (hyp for s, hyps in finalists.items() if fsm.satisfied_count(s) >= tier for hyp in hyps),
+        key=rank,
+    )
     return DecodeResult(
-        tokens=seq,
-        logprob=logprob,
-        satisfied_count=fsm.satisfied_count(state),
-        per_state_finalists=finalists,
+        tokens=best.tokens,
+        logprob=best.logprob,
+        satisfied_count=fsm.satisfied_count(best.fsm_state),
+        per_state_finalists={s: tuple(hyps) for s, hyps in finalists.items()},
     )
 
 

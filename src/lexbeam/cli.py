@@ -95,7 +95,7 @@ def _read_jsonl(path: str) -> Iterable[dict]:
 
 
 def _print_record(obj: dict, out: TextIO) -> None:
-    out.write(json.dumps(obj, sort_keys=True) + "\n")
+    out.write(json.dumps(obj, sort_keys=True, allow_nan=False) + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:

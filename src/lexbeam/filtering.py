@@ -224,32 +224,30 @@ def suppress_overlaps(
     is a strict ancestor of the other, the ancestor is removed; pairs
     with no ancestor relation (including equal-depth classes) are both
     kept. Removals are applied one at a time, highest IoU first (ties:
-    lowest confidence of the removed detection), re-checking remaining
-    pairs after each removal. Survivors keep their input order.
-    Detections whose class is not in the hierarchy are dropped with a
-    warning.
+    lowest confidence of the removed detection, then earliest position),
+    skipping pairs whose other member is already gone. Survivors keep
+    their input order. Detections whose class is not in the hierarchy
+    are dropped with a warning.
     """
     work = _drop_unknown(dets, hier)
-    while True:
-        candidate = None  # (neg_iou, removed_conf, removed_pos, remove_index)
-        for i in range(len(work)):
-            for j in range(i + 1, len(work)):
-                a, b = work[i], work[j]
-                overlap = iou(a.box, b.box)
-                if overlap < iou_threshold:
-                    continue
-                if hier.is_strict_ancestor(a.class_name, b.class_name):
-                    remove = i
-                elif hier.is_strict_ancestor(b.class_name, a.class_name):
-                    remove = j
-                else:
-                    continue
-                key = (-overlap, work[remove].confidence, remove)
-                if candidate is None or key < candidate:
-                    candidate = key
-        if candidate is None:
-            return work
-        del work[candidate[2]]
+    # IoU and ancestry never change, so every qualifying pair is scored
+    # once and the pairs are applied in the order the removals happen.
+    pairs = []  # (neg_iou, removed_conf, removed, kept)
+    for i in range(len(work)):
+        for j in range(i + 1, len(work)):
+            a, b = work[i], work[j]
+            overlap = iou(a.box, b.box)
+            if overlap < iou_threshold:
+                continue
+            if hier.is_strict_ancestor(a.class_name, b.class_name):
+                pairs.append((-overlap, a.confidence, i, j))
+            elif hier.is_strict_ancestor(b.class_name, a.class_name):
+                pairs.append((-overlap, b.confidence, j, i))
+    removed: set[int] = set()
+    for _, _, remove, keep in sorted(pairs):
+        if remove not in removed and keep not in removed:
+            removed.add(remove)
+    return [det for pos, det in enumerate(work) if pos not in removed]
 
 
 def filter_constraints(

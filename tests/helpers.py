@@ -6,7 +6,9 @@ from __future__ import annotations
 import itertools
 import random
 
-from lexbeam import BigramModel, ConstraintGroup, Vocabulary
+import numpy as np
+
+from lexbeam import BigramModel, ConstraintGroup, TableScorer, Vocabulary
 
 
 def contains_phrase(seq, phrase) -> bool:
@@ -72,6 +74,17 @@ def random_bigram(rng: random.Random, vocab: Vocabulary) -> BigramModel:
     }
     alpha = rng.choice([0.1, 0.5, 1.0, 2.0])
     return BigramModel(vocab, counts, alpha)
+
+
+def quantised_table(rng: random.Random, vocab: Vocabulary, max_len: int) -> TableScorer:
+    """A scorer for every prefix up to ``max_len`` whose rows take only
+    a few probability levels, so that many sequences tie exactly."""
+    alphabet = [i for i in range(len(vocab)) if i != vocab.eos_id]
+    rows = {}
+    for prefix in all_sequences(alphabet, max_len):
+        weights = np.array([rng.choice((1, 1, 2)) for _ in range(len(vocab))], dtype=float)
+        rows[prefix] = np.log(weights / weights.sum())
+    return TableScorer(vocab, rows)
 
 
 def random_groups(

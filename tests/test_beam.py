@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lexbeam import (
+    BOS,
     BigramModel,
     ConstraintGroup,
     DecodeConfig,
@@ -18,6 +19,7 @@ from lexbeam.errors import NoHypothesisError, VocabMismatchError
 from helpers import (
     constrained_argmax,
     groups_to_ids,
+    quantised_table,
     random_bigram,
     random_groups,
     scan_satisfied,
@@ -80,10 +82,12 @@ def test_empty_constraints_equal_unconstrained_bitwise():
 
 def test_randomized_oracle_optimality():
     rng = random.Random(2718)
-    for _ in range(40):
+    # bigram models, then tie-heavy tables whose rows take only a few
+    # probability levels, so many sequences score exactly alike
+    for tie_heavy in [False] * 40 + [True] * 40:
         size = rng.randint(2, 3)
         vocab = Vocabulary([f"w{i}" for i in range(size)])
-        model = random_bigram(rng, vocab)
+        model = quantised_table(rng, vocab, 4) if tie_heavy else random_bigram(rng, vocab)
         groups = random_groups(rng, vocab, max_groups=2, max_phrase_len=2)
         quota = rng.randint(1, len(groups))
         max_len = rng.randint(3, 4)
@@ -98,6 +102,7 @@ def test_randomized_oracle_optimality():
             continue
         assert result.satisfied_count >= quota
         assert result.logprob == pytest.approx(expected[0], abs=1e-9)
+        assert result.tokens == expected[1] + (vocab.eos_id,)
 
 
 def test_constraint_guarantee_via_substring_scan():
@@ -147,6 +152,54 @@ def test_ties_break_toward_lexicographically_smallest_sequence():
     assert result.tokens == (vocab.bos_id, vocab.eos_id)
     again = decode_unconstrained(scorer, beam_width=2, max_len=1)
     assert result == again
+
+
+def test_tie_across_source_states_keeps_lexicographically_smallest():
+    # "a" satisfies the group (state 1) while "b" does not (state 0);
+    # "a c" and "b a" both land in state 1 with exactly equal scores, and
+    # a one-wide beam must keep the lexicographically smaller "a c" even
+    # though its parent lives in the higher-numbered state
+    vocab = Vocabulary(["a", "b", "c"])
+    a, b, c, eos = vocab.id("a"), vocab.id("b"), vocab.id("c"), vocab.eos_id
+
+    def row(**probs):
+        vec = np.zeros(len(vocab))
+        for tok, p in probs.items():
+            vec[{"a": a, "b": b, "c": c, "eos": eos}[tok]] = p
+        with np.errstate(divide="ignore"):
+            return np.log(vec)
+
+    scorer = TableScorer(
+        vocab,
+        {
+            (): row(a=0.4, b=0.4, c=0.2),
+            (a,): row(a=0.25, b=0.25, c=0.5),
+            (b,): row(a=0.5, b=0.25, c=0.25),
+        },
+        default=row(eos=1.0),
+    )
+    fsm = compile_fsm([ConstraintGroup("a", (("a",),))], 1, vocab)
+    assert fsm.run([a, c]) == fsm.run([b, a]) != fsm.run([b])
+    cfg = DecodeConfig(beam_width=1, max_len=2, min_satisfied_fallback=False)
+    result = decode(scorer, fsm, cfg)
+    assert result.tokens == (a, c, eos)
+    assert result.logprob == np.log(0.4) + np.log(0.5) + 0.0
+
+
+def test_zero_probability_caption_is_never_returned():
+    # the start sentinel has probability zero under a bigram model, so
+    # every caption satisfying this group has logprob -inf
+    vocab = Vocabulary(["a", "b"])
+    model = BigramModel.fit(["a b", "b a"], vocab=vocab)
+    fsm = compile_fsm([ConstraintGroup("s", ((BOS,),))], 1, vocab)
+    cfg = DecodeConfig(beam_width=4, max_len=3, min_satisfied_fallback=False)
+    with pytest.raises(NoHypothesisError):
+        decode(model, fsm, cfg)
+    result = decode(model, fsm, DecodeConfig(beam_width=4, max_len=3))
+    assert result.satisfied_count == 0
+    assert np.isfinite(result.logprob)
+    for finalists in result.per_state_finalists.values():
+        assert all(np.isfinite(hyp.logprob) for hyp in finalists)
 
 
 def test_deterministic_across_repeats():

@@ -212,6 +212,28 @@ def test_decode_rejects_unsatisfiable_quota_record(run, scorer_file, tmp_path):
     assert out == ""
 
 
+def test_decode_never_prints_a_zero_probability_caption(run, scorer_file, tmp_path):
+    # the start sentinel has probability zero under the bigram model, so
+    # no caption with a finite logprob satisfies this record
+    cpath = tmp_path / "constraints.jsonl"
+    record = {"min_satisfied": 1, "groups": [{"label": "s", "alternatives": [["<s>"]]}]}
+    cpath.write_text(json.dumps(record) + "\n")
+    code, out, err = run(
+        "decode", "--scorer", scorer_file, "--constraints", str(cpath),
+        "--fallback", "off",
+    )
+    assert code == 1
+    assert out == ""
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "NoHypothesisError"
+
+    def reject(constant):
+        raise AssertionError(f"non-standard JSON constant {constant}")
+
+    code, out, _ = run("decode", "--scorer", scorer_file, "--constraints", str(cpath))
+    assert code == 0
+    assert json.loads(out, parse_constant=reject)["satisfied"] == 0
+
+
 def test_decode_length_normalize_flag_parses(run, scorer_file, tmp_path):
     cpath = tmp_path / "constraints.jsonl"
     cpath.write_text(constraints_line("dog") + "\n")
