@@ -22,15 +22,30 @@ Conventions:
 
 Live hypotheses are three arrays: a token matrix ``seqs`` (one row per
 hypothesis, all of one length, padded with -1 to ``max_len + 1``
-columns), their ``states`` and their ``logprobs``. Two invariants keep
+columns), their ``states`` and their ``logprobs``. These invariants keep
 the search cheap:
 
 * The rows of ``seqs`` stay in lexicographic order, so the flat
   candidate index ``row * V + token`` is exactly the tie-break order of
   the extended sequences.
-* Every token that moves no state off its mask state leads a parent to
-  its own mask state, so among those tokens only the parent's
-  ``beam_width`` best (ties kept) can survive in that target's beam.
+* Every token that moves no state off its mask state (a "plain" token)
+  leads a parent to its own mask state, so among those tokens only the
+  parent's ``beam_width`` best (ties kept) can survive in that target's
+  beam.
+* Each scorer context is scored once per call: ``next_logprobs`` runs
+  once per distinct key, the last ``scorer.context_size`` tokens of a
+  prefix, or the whole prefix when the scorer declares no
+  ``context_size``. What is kept per context is its end and
+  special-token scores and its best ``beam_width`` plain tokens by raw
+  score (ties kept), never its full row, and nothing outlives the step
+  when the key is the whole prefix.
+* Adding a hypothesis logprob to raw scores keeps their order, so the
+  context's best plain tokens are the hypothesis's best, except where
+  rounding makes a lower raw score tie the cut; that hypothesis is
+  scored again from its full row.
+* A finisher below the ``beam_width``-th best earlier finisher of its
+  state is dropped at once, so stored finishers stay near
+  ``beam_width`` per state.
 """
 
 from __future__ import annotations
@@ -39,7 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoHypothesisError, VocabMismatchError
+from .errors import NoHypothesisError, ScorerContractError, VocabMismatchError
 from .fsm import ConstraintFSM, compile_fsm
 from .scorers import Scorer
 
@@ -75,7 +90,7 @@ class DecodeConfig:
             raise ValueError("max_len must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BeamHypothesis:
     """A finished candidate: tokens (ending in the end sentinel), score,
     the FSM state it finished in, and a completion flag."""
@@ -110,13 +125,40 @@ def _first_per_key(keys: np.ndarray, width: int) -> np.ndarray:
     return np.arange(len(keys)) - np.searchsorted(keys, keys) < width
 
 
+def _score_context(
+    scorer: Scorer, prefix: tuple[int, ...], size: int, eos: int,
+    special: np.ndarray, plain: np.ndarray, width: int,
+) -> tuple:
+    """Score one scorer context once for the whole decode call.
+
+    Returns the raw end-sentinel score, the special-token scores, the
+    ``width``-th best plain score (the cut), the best plain score below
+    the cut, and the finite plain tokens at or above the cut (ties kept,
+    ascending ids) with their scores. The row itself is not kept.
+    """
+    row = np.asarray(scorer.next_logprobs(prefix), dtype=float)
+    if row.shape != (size,):
+        raise ScorerContractError(
+            f"scorer returned shape {row.shape} for prefix {prefix!r}, expected ({size},)"
+        )
+    if np.isnan(row).any():
+        raise ScorerContractError(f"scorer returned NaN for prefix {prefix!r}")
+    rest = row[plain]
+    cut = np.partition(rest, -width)[-width] if plain.size > width else -np.inf
+    top = np.flatnonzero((rest >= cut) & (rest > -np.inf))
+    lower = np.max(rest, where=rest < cut, initial=-np.inf)
+    return row[eos], row[special], cut, lower, plain[top], rest[top]
+
+
 def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig()) -> DecodeResult:
     """Run constrained beam search and post-select the best finisher.
 
     Raises :class:`VocabMismatchError` when scorer and FSM disagree on
     vocabulary size, and :class:`NoHypothesisError` when the quota
     cannot be met and the fallback is disabled, or when no hypothesis
-    finishes with a nonzero probability.
+    finishes with a nonzero probability. Raises
+    :class:`ScorerContractError` when a scorer row has the wrong shape
+    or holds NaN.
     """
     vocab = scorer.vocab
     if len(vocab) != fsm.vocab_size:
@@ -134,35 +176,74 @@ def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig(
     special = np.flatnonzero(moves & extends)
     plain = np.flatnonzero(~moves & extends)
 
+    context = getattr(scorer, "context_size", None)
+    # Contexts scored so far in this call: key -> index into ``blocks``.
+    keys: dict[tuple[int, ...], int] = {}
+    blocks: list[tuple] = []
+
     # Row i holds hypothesis i's tokens, padded with -1 past its length.
-    seqs = np.full((1, cfg.max_len + 1), -1)
+    seqs = np.full((1, cfg.max_len + 1), -1, dtype=np.int32)
     states = np.array([fsm.initial_state])
     logprobs = np.zeros(1)
     finished: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    # Each state's ``width`` best finisher logprobs so far, and the worst of
+    # them once there are ``width``.
+    best_lp, best_state = np.empty(0), np.empty(0, dtype=int)
+    bar = np.full(fsm.state_count, -np.inf)
 
     for step in range(cfg.max_len + 1):
-        # Score one FSM state at a time, so at most ``beam_width`` rows
-        # of V scores are held at once.
-        end_lp = np.empty(len(states))
-        special_lp = np.empty((len(states), special.size))
-        plain_lp, plain_flat = [], []
-        by_state = np.argsort(states, kind="stable")
-        for rows in np.split(by_state, np.flatnonzero(np.diff(states[by_state])) + 1):
-            scores = logprobs[rows, None] + np.stack(
-                [scorer.next_logprobs(tuple(prefix)) for prefix in seqs[rows, :step].tolist()]
-            )
-            end_lp[rows] = scores[:, eos]
-            special_lp[rows] = scores[:, special]
-            rest = scores[:, plain]
-            cut = np.partition(rest, -width, axis=1)[:, -width, None] if plain.size > width else -np.inf
-            r, c = np.nonzero(rest >= cut)
-            plain_lp.append(rest[r, c])
-            plain_flat.append(rows[r] * size + plain[c])
+        if context is None:
+            keys.clear()
+            blocks.clear()
+        start = 0 if context is None else max(0, step - context)
+        ctx = np.empty(len(states), dtype=np.intp)
+        for i, key in enumerate(map(tuple, seqs[:, start:step].tolist())):
+            c = keys.get(key)
+            if c is None:
+                c = keys[key] = len(blocks)
+                prefix = tuple(seqs[i, :step].tolist())
+                blocks.append(_score_context(scorer, prefix, size, eos, special, plain, width))
+            ctx[i] = c
+        end_raw, special_raw, cut, lower, top_tokens, top_raw = zip(*blocks)
+        cut, lower = np.array(cut)[ctx], np.array(lower)[ctx]
+        top_size = np.array([t.size for t in top_tokens])
+        top_first = np.cumsum(top_size) - top_size
 
-        done = end_lp > -np.inf
+        end_lp = logprobs + np.array(end_raw)[ctx]
+        special_lp = logprobs[:, None] + np.array(special_raw)[ctx]
+        # fl(L + x) never decreases as x grows, so ``logprobs + cut`` is each
+        # row's ``width``-th best plain score, and a raw value below the cut
+        # ties it only when ``logprobs + lower`` rounds to the same sum. Such
+        # a row takes its plain candidates from its full row instead.
+        tied = (lower > -np.inf) & (logprobs + lower == logprobs + cut)
+        count = np.where(tied, 0, top_size[ctx])
+        owner = np.repeat(np.arange(len(states)), count)
+        # position of each candidate in the concatenated blocks
+        skip = top_first[ctx] - (np.cumsum(count) - count)
+        pos = np.arange(owner.size) + np.repeat(skip, count)
+        plain_lp = [logprobs[owner] + np.concatenate(top_raw)[pos]]
+        plain_flat = [owner * size + np.concatenate(top_tokens)[pos]]
+        for i in np.flatnonzero(tied).tolist():
+            row = scorer.next_logprobs(tuple(seqs[i, :step].tolist()))
+            rest = logprobs[i] + np.asarray(row, dtype=float)[plain]
+            (j,) = np.nonzero(rest >= logprobs[i] + cut[i])
+            plain_lp.append(rest[j])
+            plain_flat.append(i * size + plain[j])
+
+        # A finisher scoring below the ``width``-th best earlier finisher
+        # of its state can never be a finalist, so it is not kept.
+        end_state = trans[states, eos]
+        done = (end_lp > -np.inf) & (end_lp >= bar[end_state])
         ends = seqs[done]
         ends[:, step] = eos
-        finished.append((ends, end_lp[done], trans[states[done], eos]))
+        finished.append((ends, end_lp[done], end_state[done]))
+        best_lp = np.concatenate([best_lp, end_lp[done]])
+        best_state = np.concatenate([best_state, end_state[done]])
+        order = np.lexsort((-best_lp, best_state))
+        order = order[_first_per_key(best_state[order], width)]
+        best_lp, best_state = best_lp[order], best_state[order]
+        kept = np.bincount(best_state, minlength=fsm.state_count)
+        bar[kept == width] = best_lp[np.cumsum(kept)[kept == width] - 1]
         if step == cfg.max_len:
             break
 

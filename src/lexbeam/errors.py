@@ -29,6 +29,10 @@ class VocabMismatchError(LexbeamError, ValueError):
     """Scorer and FSM were built against different vocabulary sizes."""
 
 
+class ScorerContractError(LexbeamError, ValueError):
+    """A scorer returned a row of the wrong shape or with NaN scores."""
+
+
 class NoHypothesisError(LexbeamError, RuntimeError):
     """No completed hypothesis met the satisfaction quota (fallback off)."""
 

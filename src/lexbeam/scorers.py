@@ -22,7 +22,17 @@ from .vocab import Vocabulary
 
 
 class Scorer(Protocol):
-    """What the beam decoder needs from a language model."""
+    """What the beam decoder needs from a language model.
+
+    A scorer may also declare an integer class attribute
+    ``context_size``: ``next_logprobs(prefix)`` then depends only on
+    ``prefix[-context_size:]``, and the decoder scores each such context
+    once per decode call instead of once per hypothesis. A scorer
+    without it is scored once per distinct prefix. It is a property of
+    the model, not a setting: declare it only when it holds, as results
+    are wrong otherwise. Rows must have shape ``(len(vocab),)`` and hold
+    no NaN; the decoder raises :class:`ScorerContractError` otherwise.
+    """
 
     vocab: Vocabulary
 
@@ -49,6 +59,8 @@ class BigramModel:
     probability zero. All rows are computed once at fit time.
     """
 
+    context_size = 1
+
     def __init__(
         self,
         vocab: Vocabulary,
@@ -72,14 +84,13 @@ class BigramModel:
             table[v, w] += c
         n_predictable = size - 1  # start sentinel is never predicted
         totals = table.sum(axis=1) - table[:, vocab.bos_id]
-        table[:, vocab.bos_id] = 0.0
-        with np.errstate(divide="ignore"):
-            logprobs = np.log(table + self.alpha) - np.log(
-                totals[:, None] + self.alpha * n_predictable
-            )
-            logprobs[:, vocab.bos_id] = -np.inf
-        logprobs.flags.writeable = False
-        self._logprobs = logprobs
+        # In place, so no second V x V array is ever allocated.
+        table += self.alpha
+        np.log(table, out=table)
+        table -= np.log(totals + self.alpha * n_predictable)[:, None]
+        table[:, vocab.bos_id] = -np.inf
+        table.flags.writeable = False
+        self._logprobs = table
 
     @classmethod
     def fit(

@@ -14,7 +14,12 @@ from lexbeam import (
     decode,
     decode_unconstrained,
 )
-from lexbeam.errors import NoHypothesisError, VocabMismatchError
+from lexbeam.errors import (
+    LexbeamError,
+    NoHypothesisError,
+    ScorerContractError,
+    VocabMismatchError,
+)
 
 from helpers import (
     constrained_argmax,
@@ -80,10 +85,11 @@ def test_empty_constraints_equal_unconstrained_bitwise():
         assert via_fsm == direct
 
 
-def test_randomized_oracle_optimality():
+def oracle_cases():
+    """Small random problems the exhaustive oracle can check: bigram
+    models, then tie-heavy tables whose rows take only a few probability
+    levels, so many sequences score exactly alike."""
     rng = random.Random(2718)
-    # bigram models, then tie-heavy tables whose rows take only a few
-    # probability levels, so many sequences score exactly alike
     for tie_heavy in [False] * 40 + [True] * 40:
         size = rng.randint(2, 3)
         vocab = Vocabulary([f"w{i}" for i in range(size)])
@@ -91,6 +97,12 @@ def test_randomized_oracle_optimality():
         groups = random_groups(rng, vocab, max_groups=2, max_phrase_len=2)
         quota = rng.randint(1, len(groups))
         max_len = rng.randint(3, 4)
+        yield model, groups, quota, max_len
+
+
+def test_randomized_oracle_optimality():
+    for model, groups, quota, max_len in oracle_cases():
+        vocab = model.vocab
         fsm = compile_fsm(groups, quota, vocab)
         result = decode(
             model,
@@ -103,6 +115,79 @@ def test_randomized_oracle_optimality():
         assert result.satisfied_count >= quota
         assert result.logprob == pytest.approx(expected[0], abs=1e-9)
         assert result.tokens == expected[1] + (vocab.eos_id,)
+
+
+class _Recording:
+    """Forwards a scorer, records every prefix it is asked to score, and
+    declares ``context_size`` only when one is given."""
+
+    def __init__(self, scorer, context_size):
+        self.vocab = scorer.vocab
+        self._scorer = scorer
+        self.prefixes = []
+        if context_size is not None:
+            self.context_size = context_size
+
+    def next_logprobs(self, prefix):
+        self.prefixes.append(tuple(prefix))
+        return self._scorer.next_logprobs(prefix)
+
+
+def test_declared_context_size_does_not_change_results():
+    # a bigram model with its context size hidden is scored per prefix;
+    # a table declaring a context as long as any prefix is scored per
+    # context; both must decode exactly as the scorer itself does
+    for model, groups, quota, max_len in oracle_cases():
+        declared = getattr(model, "context_size", None)
+        other = _Recording(model, None if declared else max_len)
+        fsm = compile_fsm(groups, quota, model.vocab)
+        for width in (1, 2, exhaustive_width(model.vocab, max_len)):
+            cfg = DecodeConfig(beam_width=width, max_len=max_len)
+            assert decode(other, fsm, cfg) == decode(model, fsm, cfg)
+
+
+def test_rounding_tie_below_the_raw_cut_keeps_both_tokens():
+    # after "c" (logprob log 0.7), "a" scores one ulp below "b" in the
+    # raw row, yet both sums round to the same value; a one-wide beam
+    # must see the tie and keep the smaller sequence "c a"
+    vocab = Vocabulary(["a", "b", "c"])
+    a, b, c, eos = vocab.id("a"), vocab.id("b"), vocab.id("c"), vocab.eos_id
+    hi = np.log(0.5)
+    lo = np.nextafter(hi, -np.inf)
+    after_c = np.full(len(vocab), -np.inf)
+    after_c[a], after_c[b] = lo, hi
+    root = np.full(len(vocab), -np.inf)
+    root[a], root[b], root[c] = np.log([0.15, 0.15, 0.7])
+    done = np.full(len(vocab), -np.inf)
+    done[eos] = 0.0
+    assert root[c] + lo == root[c] + hi
+    scorer = TableScorer(vocab, {(): root, (c,): after_c}, default=done)
+    for context_size in (None, 3):
+        result = decode_unconstrained(_Recording(scorer, context_size), beam_width=1, max_len=2)
+        assert result.tokens == (c, a, eos)
+        assert result.logprob == root[c] + lo
+
+
+def test_one_scorer_call_per_distinct_context_per_decode():
+    rng = random.Random(11)
+    vocab = Vocabulary([f"w{i}" for i in range(40)])
+    model = random_bigram(rng, vocab)
+    groups = random_groups(rng, vocab, max_groups=3, max_phrase_len=2)
+    fsm = compile_fsm(groups, 2, vocab)
+    cfg = DecodeConfig(beam_width=3, max_len=8)
+    per_prefix = _Recording(model, None)
+    reference = decode(per_prefix, fsm, cfg)
+    # the contexts are the last tokens (or none) of the scored prefixes
+    contexts = {prefix[-1:] for prefix in per_prefix.prefixes}
+    assert len(per_prefix.prefixes) > len(contexts)
+    per_context = _Recording(model, model.context_size)
+    assert decode(per_context, fsm, cfg) == reference
+    scored = [prefix[-1:] for prefix in per_context.prefixes]
+    assert len(scored) == len(set(scored))
+    assert set(scored) == contexts
+    # nothing is cached from one call to the next
+    assert decode(per_context, fsm, cfg) == reference
+    assert [prefix[-1:] for prefix in per_context.prefixes] == scored * 2
 
 
 def test_constraint_guarantee_via_substring_scan():
@@ -300,6 +385,29 @@ def test_length_normalization_changes_selection_not_reported_logprob():
     assert normalized.logprob == pytest.approx(
         sequence_logprob(scorer, normalized.tokens[:-1]), abs=1e-12
     )
+
+
+class _Broken:
+    """Returns ``row`` for the prefix ``(0,)`` and a uniform row otherwise."""
+
+    def __init__(self, vocab, row):
+        self.vocab, self.row = vocab, row
+
+    def next_logprobs(self, prefix):
+        if tuple(prefix) == (0,):
+            return self.row
+        return np.log(np.full(len(self.vocab), 1 / len(self.vocab)))
+
+
+def test_scorer_contract_violations_raise():
+    vocab = Vocabulary(["a", "b"])
+    nan_row = np.log(np.full(len(vocab), 1 / len(vocab)))
+    nan_row[vocab.id("a")] = np.nan
+    long_row = np.log(np.full(len(vocab) + 1, 1 / (len(vocab) + 1)))
+    for row in (nan_row, long_row, long_row.reshape(1, -1)):
+        with pytest.raises(ScorerContractError):
+            decode_unconstrained(_Broken(vocab, row), beam_width=4, max_len=3)
+    assert issubclass(ScorerContractError, LexbeamError)
 
 
 def test_config_validation():

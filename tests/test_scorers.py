@@ -27,6 +27,23 @@ def test_smoothed_probability_by_hand(vocab):
     assert math.exp(model.next_logprobs([a])[vocab.eos_id]) == pytest.approx(0.25)
 
 
+def test_rows_equal_the_closed_form_bit_for_bit():
+    rng = random.Random(5)
+    vocab = Vocabulary([f"w{i}" for i in range(6)])
+    size, bos = len(vocab), vocab.bos_id
+    counts = {(v, w): rng.randrange(0, 4) for v in range(size) for w in range(size)}
+    alpha = 0.3
+    model = BigramModel(vocab, counts, alpha)
+    for v in range(size):
+        total = sum(counts[v, w] for w in range(size) if w != bos)
+        expected = [
+            -np.inf if w == bos
+            else np.log(np.float64(counts[v, w]) + alpha) - np.log(total + alpha * (size - 1))
+            for w in range(size)
+        ]
+        assert model.next_logprobs([v]).tobytes() == np.array(expected).tobytes()
+
+
 def test_unseen_context_is_uniform(vocab):
     model = BigramModel.fit(["a b"], alpha=1.0, vocab=vocab)
     row = model.next_logprobs([vocab.id("b")])  # "b" only ever precedes EOS
