@@ -1,18 +1,19 @@
 """Constrained beam search with one beam per FSM state.
 
 Every live hypothesis carries its machine state; at each step every
-hypothesis is extended by every vocabulary token, routed to the state
-the transition table dictates, and each *target* state keeps its
-``beam_width`` best extensions. Keeping a separate beam per state
-guarantees that hypotheses survive for every satisfaction level, so a
-completed caption meeting the quota can be post-selected at the end.
+hypothesis is extended by the machine's constraint tokens and by its own
+best other tokens, each routed to the state the machine dictates, and
+each *target* state keeps its ``beam_width`` best extensions. Keeping a
+separate beam per state guarantees that hypotheses survive for every
+satisfaction level, so a completed caption meeting the quota can be
+post-selected at the end.
 
 Conventions:
 
 * ``max_len`` caps the number of content tokens. The end sentinel is
   scored like any other step and terminates a hypothesis; its id is
-  routed through the transition table, and finished token sequences
-  include it.
+  routed through the machine like any other token, and finished token
+  sequences include it.
 * Scores are natural-log probabilities, summed; nothing is ever
   multiplied in linear space.
 * Ties in log-probability break toward the lexicographically smallest
@@ -28,7 +29,7 @@ the search cheap:
 * The rows of ``seqs`` stay in lexicographic order, so the flat
   candidate index ``row * V + token`` is exactly the tie-break order of
   the extended sequences.
-* Every token that moves no state off its mask state (a "plain" token)
+* Every token outside the machine's constraint tokens (a "plain" token)
   leads a parent to its own mask state, so among those tokens only the
   parent's ``beam_width`` best (ties kept) can survive in that target's
   beam.
@@ -166,15 +167,10 @@ def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig(
             f"scorer vocabulary has {len(vocab)} tokens, FSM expects {fsm.vocab_size}"
         )
     eos, size, width = vocab.eos_id, len(vocab), cfg.beam_width
-    trans = fsm.transitions
-    masks = np.array([label[0] for label in fsm.state_labels])
-    # Special tokens (those of some constraint) move some state off its
-    # mask state; every other ("plain") token leads each state to its
-    # own mask state.
-    moves = (trans != masks[:, None]).any(axis=0)
-    extends = np.arange(size) != eos
-    special = np.flatnonzero(moves & extends)
-    plain = np.flatnonzero(~moves & extends)
+    # Only constraint ("special") tokens move a state off its mask state;
+    # every other ("plain") token leads each state to its own mask state.
+    special = fsm.tokens[fsm.tokens != eos]
+    plain = np.setdiff1d(np.arange(size), np.append(fsm.tokens, eos))
 
     context = getattr(scorer, "context_size", None)
     # Contexts scored so far in this call: key -> index into ``blocks``.
@@ -232,7 +228,7 @@ def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig(
 
         # A finisher scoring below the ``width``-th best earlier finisher
         # of its state can never be a finalist, so it is not kept.
-        end_state = trans[states, eos]
+        end_state = fsm.targets(states, eos)
         done = (end_lp > -np.inf) & (end_lp >= bar[end_state])
         ends = seqs[done]
         ends[:, step] = eos
@@ -247,14 +243,11 @@ def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig(
         if step == cfg.max_len:
             break
 
-        plain_flat = np.concatenate(plain_flat)
         lp = np.concatenate([special_lp.ravel(), *plain_lp])
-        flat = np.concatenate([(np.arange(len(states))[:, None] * size + special).ravel(), plain_flat])
-        target = np.concatenate([
-            trans[np.ix_(states, special)].ravel(), masks[states[plain_flat // size]]
-        ])
+        flat = np.concatenate([(np.arange(len(states))[:, None] * size + special).ravel(), *plain_flat])
         alive = lp > -np.inf
-        lp, flat, target = lp[alive], flat[alive], target[alive]
+        lp, flat = lp[alive], flat[alive]
+        target = fsm.targets(states[flat // size], flat % size)
         order = np.lexsort((flat, -lp, target))
         keep = order[_first_per_key(target[order], width)]
         if not keep.size:

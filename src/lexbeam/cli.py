@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import logging
 import sys
 import time
 from typing import Iterable, Sequence, TextIO
@@ -74,6 +75,14 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit_error(kind: str, message: str) -> None:
     sys.stderr.write(json.dumps({"error": kind, "message": message}) + "\n")
+
+
+class _JsonLogHandler(logging.Handler):
+    """Writes each library log record to stderr as one JSON line."""
+
+    def emit(self, record: logging.LogRecord) -> None:
+        payload = {"level": record.levelname, "logger": record.name, "message": record.getMessage()}
+        sys.stderr.write(json.dumps(payload) + "\n")
 
 
 def _open_input(path: str) -> TextIO:
@@ -261,14 +270,8 @@ def _cmd_inspect_fsm(args: argparse.Namespace, out: TextIO) -> None:
     for state in range(fsm.state_count):
         out.write(fsm.describe_state(state) + "\n")
     if args.transitions:
-        for state in range(fsm.state_count):
-            row = fsm.transitions[state]
-            default = fsm.satisfied_mask(state)
-            moved = [
-                f"{vocab.token(t)!r}->{int(row[t])}"
-                for t in range(len(vocab))
-                if int(row[t]) != default
-            ]
+        for state, (*row, default) in enumerate(fsm.table.tolist()):
+            moved = [f"{vocab.token(t)!r}->{s}" for t, s in zip(fsm.tokens.tolist(), row) if s != default]
             out.write(f"state {state}: default->{default} " + " ".join(moved) + "\n")
 
 
@@ -291,6 +294,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
 
     started = time.monotonic()
+    # Library warnings become JSON lines for this run only, so repeated
+    # calls in one process never stack handlers.
+    logger, handler = logging.getLogger("lexbeam"), _JsonLogHandler(logging.WARNING)
+    logger.addHandler(handler)
     try:
         _COMMANDS[args.subcommand](args, sys.stdout)
     except LexbeamError as exc:
@@ -302,6 +309,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except Exception as exc:  # pragma: no cover - internal invariant violations
         _emit_error("internal", f"{type(exc).__name__}: {exc}")
         return 2
+    finally:
+        logger.removeHandler(handler)
 
     if args.manifest:
         flags = {

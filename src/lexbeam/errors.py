@@ -17,6 +17,11 @@ class EmptyGroupError(LexbeamError, ValueError):
     """A constraint group has no alternatives, or an empty alternative."""
 
 
+class MalformedGroupError(LexbeamError, TypeError):
+    """A constraint group's alternatives, or one alternative, is a string
+    rather than a list of token lists (or of token strings)."""
+
+
 class TooManyGroupsError(LexbeamError, ValueError):
     """More constraint groups than the satisfaction-mask width allows."""
 

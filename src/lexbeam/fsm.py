@@ -1,4 +1,4 @@
-"""Compile lexical constraints into a dense finite state machine.
+"""Compile lexical constraints into a finite state machine.
 
 A constraint group is a set of alternative token sequences (word forms
 or multi-word phrases); the group counts as satisfied once any one of
@@ -37,6 +37,14 @@ Progress states are allocated per alternative in both modes. In
 ``FAILURE`` mode, alternatives sharing a prefix are recognized through
 the canonical (first-listed) state for that prefix; the duplicate
 states remain in the table with equivalent transitions.
+
+Transition table
+----------------
+Only the *constraint tokens*, those occurring in some alternative, can
+move a state anywhere but its own mask state. The table therefore has
+one column per constraint token plus a last, default column holding
+each state's mask state, the target of every other token; a length-V
+map sends each token id to its column.
 """
 
 from __future__ import annotations
@@ -50,6 +58,7 @@ import numpy as np
 
 from .errors import (
     EmptyGroupError,
+    MalformedGroupError,
     OutOfRangeError,
     TooManyGroupsError,
 )
@@ -79,9 +88,16 @@ class ConstraintGroup:
     alternatives: tuple[tuple[str, ...], ...]
 
     def __post_init__(self):
+        # A string would be iterated as one-letter tokens.
+        if isinstance(self.alternatives, str):
+            raise MalformedGroupError(f"group {self.label!r}: alternatives must be a list, not a string")
         seen: set[tuple[str, ...]] = set()
         unique: list[tuple[str, ...]] = []
         for alt in self.alternatives:
+            if isinstance(alt, str):
+                raise MalformedGroupError(
+                    f"group {self.label!r}: alternative {alt!r} must be a list of tokens, not a string"
+                )
             alt = tuple(alt)
             if not alt:
                 raise EmptyGroupError(
@@ -98,7 +114,7 @@ class ConstraintGroup:
     def from_json(cls, obj: dict) -> "ConstraintGroup":
         return cls(
             label=str(obj.get("label", "")),
-            alternatives=tuple(tuple(alt) for alt in obj["alternatives"]),
+            alternatives=obj["alternatives"],
         )
 
     def to_json(self) -> dict:
@@ -126,51 +142,63 @@ def load_constraints_file(path: str) -> tuple[list[ConstraintGroup], int]:
 
 
 class ConstraintFSM:
-    """A compiled constraint machine with a dense transition table.
+    """A compiled constraint machine in the default-column layout.
 
-    Immutable once built; :meth:`step`, :meth:`accepting` and
+    ``tokens`` holds the sorted constraint token ids, ``table`` one row
+    per state with one column per constraint token and a last column
+    holding the state's mask state (the target of every other token),
+    and ``columns`` maps each vocabulary id to its column. Immutable
+    once built; :meth:`step`, :meth:`targets`, :meth:`accepting` and
     :meth:`satisfied_count` are pure reads and safe to share across
     threads. Use :func:`compile_fsm` to construct one.
     """
 
     __slots__ = (
-        "transitions",
+        "tokens",
+        "table",
+        "columns",
         "state_labels",
         "min_satisfied",
         "n_groups",
         "mode",
-        "_masks",
         "_popcounts",
     )
 
     def __init__(
         self,
-        transitions: np.ndarray,
+        tokens: np.ndarray,
+        table: np.ndarray,
+        vocab_size: int,
         state_labels: tuple[tuple, ...],
         min_satisfied: int,
         n_groups: int,
         mode: PhraseMatchMode,
     ):
-        transitions.flags.writeable = False
-        self.transitions = transitions
+        columns = np.full(vocab_size, len(tokens), dtype=np.int32)
+        columns[tokens] = np.arange(len(tokens))
+        pop = np.array([int(m).bit_count() for m in table[:, -1]], dtype=np.int64)
+        for array in (tokens, table, columns, pop):
+            array.flags.writeable = False
+        self.tokens, self.table, self.columns, self._popcounts = tokens, table, columns, pop
         self.state_labels = state_labels
         self.min_satisfied = min_satisfied
         self.n_groups = n_groups
         self.mode = mode
-        masks = np.array([label[0] for label in state_labels], dtype=np.int64)
-        masks.flags.writeable = False
-        self._masks = masks
-        pop = np.array([int(m).bit_count() for m in masks], dtype=np.int64)
-        pop.flags.writeable = False
-        self._popcounts = pop
 
     @property
     def state_count(self) -> int:
-        return self.transitions.shape[0]
+        return self.table.shape[0]
 
     @property
     def vocab_size(self) -> int:
-        return self.transitions.shape[1]
+        return self.columns.shape[0]
+
+    @property
+    def transitions(self) -> np.ndarray:
+        """The dense, read-only ``state_count x vocab_size`` table, derived on each read."""
+        dense = self.table[:, self.columns]
+        dense.flags.writeable = False
+        return dense
 
     @property
     def initial_state(self) -> int:
@@ -189,7 +217,11 @@ class ConstraintFSM:
             raise OutOfRangeError(
                 f"token {token} out of range [0, {self.vocab_size})"
             )
-        return int(self.transitions[state, token])
+        return int(self.targets(state, token))
+
+    def targets(self, states, tokens) -> np.ndarray:
+        """Next states for ``tokens`` read in ``states``, broadcast like numpy indices."""
+        return self.table[states, self.columns[tokens]]
 
     def run(self, tokens: Iterable[int], state: int | None = None) -> int:
         """Fold :meth:`step` over ``tokens`` (from the initial state by default)."""
@@ -200,7 +232,7 @@ class ConstraintFSM:
 
     def satisfied_mask(self, state: int) -> int:
         self._check_state(state)
-        return int(self._masks[state])
+        return int(self.table[state, -1])
 
     def satisfied_count(self, state: int) -> int:
         """Number of groups satisfied on every path into ``state``."""
@@ -289,72 +321,60 @@ def compile_fsm(
                     progress_ids[(m, g, ai, pos)] = len(state_labels)
                     state_labels.append((m, g, ai, pos))
 
-    def unsat(mask: int) -> Iterable[int]:
-        return (g for g in range(n) if not mask >> g & 1)
+    # Per input string ``s`` (a state's matched prefix plus one token): the
+    # groups with an alternative ending ``s``, and the (length, group,
+    # alternative) proper prefixes of alternatives that ``s`` ends in,
+    # longest first.
+    memo: dict[tuple[int, ...], tuple[int, list[tuple[int, int, int]]]] = {}
 
-    def failure_target(mask: int, prefix: tuple[int, ...], token: int) -> int:
-        s = prefix + (token,)
-        gained = 0
-        for g in unsat(mask):
-            for alt in alt_ids[g]:
-                if len(alt) <= len(s) and s[len(s) - len(alt):] == alt:
-                    gained |= 1 << g
-                    break
-        new_mask = mask | gained
+    def matches(s: tuple[int, ...]) -> tuple[int, list[tuple[int, int, int]]]:
+        if s not in memo:
+            ends = sum(1 << g for g, alts in enumerate(alt_ids) if any(s[-len(a):] == a for a in alts))
+            memo[s] = ends, [
+                (length, g, ai)
+                for length in range(len(s), 0, -1)
+                for g, alts in enumerate(alt_ids)
+                for ai, alt in enumerate(alts)
+                if len(alt) > length and alt[:length] == s[-length:]
+            ]
+        return memo[s]
+
+    def failure_target(mask: int, s: tuple[int, ...]) -> int:
+        ends, starts = matches(s)
+        mask |= ends
         # Longest suffix of the input that is a proper prefix of a live
         # alternative; carried progress survives mask changes.
-        for length in range(len(s), 0, -1):
-            suffix = s[len(s) - length:]
-            for g in unsat(new_mask):
-                for ai, alt in enumerate(alt_ids[g]):
-                    if len(alt) > length and alt[:length] == suffix:
-                        return progress_ids[(new_mask, g, ai, length)]
-        return new_mask
+        for length, g, ai in starts:
+            if not mask >> g & 1:
+                return progress_ids[(mask, g, ai, length)]
+        return mask
 
     def faithful_target(label: tuple, token: int) -> int:
         mask = label[0]
         if len(label) == 1:
-            gained = 0
-            for g in unsat(mask):
-                if (token,) in alt_ids[g]:
-                    gained |= 1 << g
-            if gained:
-                return mask | gained
-            for g in unsat(mask):
-                for ai, alt in enumerate(alt_ids[g]):
-                    if len(alt) > 1 and alt[0] == token:
-                        return progress_ids[(mask, g, ai, 1)]
-            return mask
+            ends = matches((token,))[0]
+            # Completing a single-word group wins over starting a phrase.
+            return mask | ends if ends & ~mask else failure_target(mask, (token,))
         _, g, ai, pos = label
         alt = alt_ids[g][ai]
-        if token == alt[pos]:
-            if pos + 1 == len(alt):
-                return mask | 1 << g
-            return progress_ids[(mask, g, ai, pos + 1)]
-        return mask
+        if token != alt[pos]:
+            return mask
+        return mask | 1 << g if pos + 1 == len(alt) else progress_ids[(mask, g, ai, pos + 1)]
 
-    interesting = sorted({t for alts in alt_ids for alt in alts for t in alt})
-    n_states = len(state_labels)
-    transitions = np.empty((n_states, len(vocab)), dtype=np.int32)
-    for sid, label in enumerate(state_labels):
-        # Tokens appearing in no alternative neither complete nor start
-        # anything: they land on the bare mask state in both modes.
-        transitions[sid, :] = label[0]
+    tokens = sorted({t for alts in alt_ids for alt in alts for t in alt})
+    rows = []
+    for label in state_labels:
         if mode is PhraseMatchMode.FAILURE:
-            mask = label[0]
-            if len(label) == 1:
-                prefix: tuple[int, ...] = ()
-            else:
-                _, g, ai, pos = label
-                prefix = alt_ids[g][ai][:pos]
-            for tok in interesting:
-                transitions[sid, tok] = failure_target(mask, prefix, tok)
+            prefix = alt_ids[label[1]][label[2]][: label[3]] if len(label) > 1 else ()
+            row = [failure_target(label[0], prefix + (tok,)) for tok in tokens]
         else:
-            for tok in interesting:
-                transitions[sid, tok] = faithful_target(label, tok)
+            row = [faithful_target(label, tok) for tok in tokens]
+        rows.append(row + [label[0]])
 
     return ConstraintFSM(
-        transitions=transitions,
+        tokens=np.array(tokens, dtype=np.intp),
+        table=np.array(rows, dtype=np.int32),
+        vocab_size=len(vocab),
         state_labels=tuple(state_labels),
         min_satisfied=min_satisfied,
         n_groups=n,

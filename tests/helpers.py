@@ -104,3 +104,68 @@ def random_groups(
             alts.append(tuple(rng.choice(content) for _ in range(length)))
         groups.append(ConstraintGroup(label=f"g{g}", alternatives=tuple(alts)))
     return groups
+
+
+def reference_transitions(groups: list[ConstraintGroup], vocab: Vocabulary, mode: str) -> np.ndarray:
+    """The dense ``states x V`` transition table by brute-force search,
+    in the compiler's state layout: mask states ``0 .. 2**n - 1``, then
+    one progress state per (mask, group, alternative, matched) with the
+    group unsatisfied in the mask, alternatives in sorted id order.
+
+    ``failure`` keeps the longest suffix of the input that is a proper
+    prefix of a live alternative (ties: lowest group, then alternative);
+    ``faithful`` drops to the bare mask state on any non-advancing token.
+    """
+    alt_ids = [sorted({vocab.ids(alt) for alt in g.alternatives}) for g in groups]
+    n = len(groups)
+    labels = [(m,) for m in range(1 << n)]
+    progress = {}
+    for m in range(1 << n):
+        for g in range(n):
+            if not m >> g & 1:
+                for ai, alt in enumerate(alt_ids[g]):
+                    for pos in range(1, len(alt)):
+                        progress[(m, g, ai, pos)] = len(labels)
+                        labels.append((m, g, ai, pos))
+
+    def unsat(mask):
+        return [g for g in range(n) if not mask >> g & 1]
+
+    def failure_target(mask, prefix, token):
+        s = prefix + (token,)
+        for g in unsat(mask):
+            if any(len(alt) <= len(s) and s[len(s) - len(alt):] == alt for alt in alt_ids[g]):
+                mask |= 1 << g
+        for length in range(len(s), 0, -1):
+            for g in unsat(mask):
+                for ai, alt in enumerate(alt_ids[g]):
+                    if len(alt) > length and alt[:length] == s[len(s) - length:]:
+                        return progress[(mask, g, ai, length)]
+        return mask
+
+    def faithful_target(label, token):
+        mask = label[0]
+        if len(label) > 1:
+            _, g, ai, pos = label
+            alt = alt_ids[g][ai]
+            if token != alt[pos]:
+                return mask
+            return mask | 1 << g if pos + 1 == len(alt) else progress[(mask, g, ai, pos + 1)]
+        gained = sum(1 << g for g in unsat(mask) if (token,) in alt_ids[g])
+        if gained:
+            return mask | gained
+        for g in unsat(mask):
+            for ai, alt in enumerate(alt_ids[g]):
+                if len(alt) > 1 and alt[0] == token:
+                    return progress[(mask, g, ai, 1)]
+        return mask
+
+    table = np.empty((len(labels), len(vocab)), dtype=np.int32)
+    for sid, label in enumerate(labels):
+        prefix = alt_ids[label[1]][label[2]][: label[3]] if len(label) > 1 else ()
+        for tok in range(len(vocab)):
+            if mode == "failure":
+                table[sid, tok] = failure_target(label[0], prefix, tok)
+            else:
+                table[sid, tok] = faithful_target(label, tok)
+    return table

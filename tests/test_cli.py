@@ -131,10 +131,17 @@ def test_filter_keeps_stdout_clean_when_warning(run, tmp_path):
         )
         + "\n"
     )
-    code, out, err = run("filter", "--detections", str(path))
-    assert code == 0
-    payload = json.loads(out)  # exactly one parseable record on stdout
-    assert [g["label"] for g in payload["groups"]] == ["Dog"]
+    # a second run in the same process must not repeat the diagnostic
+    for _ in range(2):
+        code, out, err = run("filter", "--detections", str(path))
+        assert code == 0
+        payload = json.loads(out)  # exactly one parseable record on stdout
+        assert [g["label"] for g in payload["groups"]] == ["Dog"]
+        diagnostics = [json.loads(line) for line in err.splitlines()]
+        assert len(diagnostics) == 1
+        assert diagnostics[0]["level"] == "WARNING"
+        assert diagnostics[0]["logger"] == "lexbeam.filtering"
+        assert "Wombat" in diagnostics[0]["message"]
 
 
 def test_filter_top_k_flag(run):
@@ -385,6 +392,16 @@ def test_inspect_fsm_transition_dump(run, tmp_path):
     )
     assert code == 0
     assert "'d1'->1" in out
+
+
+@pytest.mark.parametrize("alternatives", ["dog", ["dog"]])
+def test_inspect_fsm_rejects_string_alternatives(run, tmp_path, alternatives):
+    # a string would be iterated as one-letter tokens that happen to resolve
+    cpath, vpath = write_fsm_inputs(tmp_path, [("dog", alternatives)], 1, ["d", "o", "g", "dog"])
+    code, out, err = run("inspect-fsm", "--constraints", cpath, "--vocab", vpath)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "MalformedGroupError"
 
 
 # --------------------------------------------------------------- manifests

@@ -13,12 +13,19 @@ from lexbeam import (
 )
 from lexbeam.errors import (
     EmptyGroupError,
+    MalformedGroupError,
     OutOfRangeError,
     TooManyGroupsError,
     UnknownTokenError,
 )
 
-from helpers import all_sequences, groups_to_ids, random_groups, scan_satisfied
+from helpers import (
+    all_sequences,
+    groups_to_ids,
+    random_groups,
+    reference_transitions,
+    scan_satisfied,
+)
 
 
 def single_word_groups(*words):
@@ -211,6 +218,32 @@ def test_failure_mode_recognition_on_wider_vocab():
             assert fsm.accepting(fsm.run(seq)) == brute_accepts(seq, ids, 1)
 
 
+def test_transitions_match_the_brute_force_oracle():
+    # whole tables, state ids included: the NFA differentials compare masks only
+    rng = random.Random(4242)
+    vocab = Vocabulary(["a", "b", "c"])
+    pool = ["a", "b", "c", "<s>", "</s>"]
+    for trial in range(300):
+        groups = []
+        for g in range(rng.randint(0, 3)):
+            alts = []
+            for _ in range(rng.randint(1, 3)):
+                x, y = rng.choice(pool[:3]), rng.choice(pool[:3])
+                alts.append(rng.choice([
+                    (x, x), (x, y, x), (x, x, y),  # self-overlapping
+                    (x, y), (x, y, y), (x,),  # shared prefixes across alternatives
+                    tuple(rng.choice(pool) for _ in range(rng.randint(1, 3))),
+                ]))
+            groups.append(ConstraintGroup(f"g{g}", tuple(alts)))
+        if trial % 10 == 0:
+            groups.append(ConstraintGroup("sentinel", ((rng.choice(["<s>", "</s>"]),),)))
+        for mode in PhraseMatchMode:
+            fsm = compile_fsm(groups, len(groups) // 2, vocab, mode)
+            expected = reference_transitions(groups, vocab, mode.value)
+            assert fsm.transitions.dtype == expected.dtype
+            assert np.array_equal(fsm.transitions, expected), (groups, mode)
+
+
 # -------------------------------------------------------------- properties
 
 
@@ -284,6 +317,10 @@ def test_group_validation():
         ConstraintGroup("g", ((),))
     deduped = ConstraintGroup("g", (("a",), ("a",), ("b",)))
     assert deduped.alternatives == (("a",), ("b",))
+    with pytest.raises(MalformedGroupError):
+        ConstraintGroup("g", "dog")
+    with pytest.raises(MalformedGroupError):
+        ConstraintGroup.from_json({"label": "g", "alternatives": ["dog"]})
 
 
 def test_compile_errors(vocab):
@@ -317,6 +354,7 @@ def test_load_constraints_roundtrip():
 
 def test_compile_scales_to_large_vocabularies():
     import time
+    import tracemalloc
 
     vocab = Vocabulary([f"tok{i}" for i in range(50_000)])
     groups = [
@@ -325,8 +363,15 @@ def test_compile_scales_to_large_vocabularies():
         ConstraintGroup("c", (("tok30",),)),
     ]
     started = time.monotonic()
-    fsm = compile_fsm(groups, 2, vocab)
+    tracemalloc.start()
+    try:
+        fsm = compile_fsm(groups, 2, vocab)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert time.monotonic() - started < 2.0
+    # a quarter of the dense int32 table: compiling must not build it
+    assert peak < fsm.state_count * len(vocab)
     assert fsm.transitions.shape == (fsm.state_count, len(vocab))
     assert fsm.step(0, vocab.id("tok31")) == 0  # uninvolved token self-loops
     assert fsm.satisfied_count(fsm.run(vocab.ids(["tok10", "tok30"]))) == 2
