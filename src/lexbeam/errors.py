@@ -18,8 +18,9 @@ class EmptyGroupError(LexbeamError, ValueError):
 
 
 class MalformedGroupError(LexbeamError, TypeError):
-    """A constraint group's alternatives, or one alternative, is a string
-    rather than a list of token lists (or of token strings)."""
+    """A constraint record, group, its alternatives or one alternative
+    has the wrong JSON type: alternatives must be a list of lists of
+    token strings."""
 
 
 class TooManyGroupsError(LexbeamError, ValueError):
@@ -56,6 +57,10 @@ class DegenerateBoxError(LexbeamError, ValueError):
 
 class UnknownClassError(LexbeamError, KeyError):
     """An object class absent from the class hierarchy."""
+
+
+class MalformedImageError(LexbeamError, TypeError):
+    """An image record's ``classes`` is not a list of class-name strings."""
 
 
 class TargetTooSmallError(LexbeamError, ValueError):

@@ -112,10 +112,16 @@ class ConstraintGroup:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ConstraintGroup":
-        return cls(
-            label=str(obj.get("label", "")),
-            alternatives=obj["alternatives"],
-        )
+        if not isinstance(obj, dict):
+            raise MalformedGroupError(f"a group must be a JSON object, not {obj!r}")
+        label, alternatives = str(obj.get("label", "")), obj["alternatives"]
+        if not isinstance(alternatives, list) or not all(
+            isinstance(alt, list) and all(isinstance(tok, str) for tok in alt) for alt in alternatives
+        ):
+            raise MalformedGroupError(
+                f"group {label!r}: alternatives must be a list of lists of token strings, not {alternatives!r}"
+            )
+        return cls(label=label, alternatives=alternatives)
 
     def to_json(self) -> dict:
         return {
@@ -129,6 +135,8 @@ def load_constraints(obj: dict) -> tuple[list[ConstraintGroup], int]:
 
     ``min_satisfied`` defaults to ``min(2, len(groups))`` when absent.
     """
+    if not isinstance(obj, dict) or not isinstance(obj.get("groups", []), list):
+        raise MalformedGroupError("a constraint record must be a JSON object whose groups are a list")
     groups = [ConstraintGroup.from_json(g) for g in obj.get("groups", [])]
     k = obj.get("min_satisfied")
     if k is None:

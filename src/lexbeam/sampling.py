@@ -7,7 +7,9 @@ than 6 unique classes are admitted unconditionally; the pools are then
 cycled round-robin, a handful of candidates is drawn per turn, and the
 candidate whose addition maximizes the Shannon entropy of the running
 class distribution is kept. This stops frequent classes from
-dominating the selected set.
+dominating the selected set. Candidates are ranked by their rise in
+S = sum(c * ln c), which orders them as the entropy does (see
+:func:`sample`).
 """
 
 from __future__ import annotations
@@ -15,13 +17,17 @@ from __future__ import annotations
 import math
 import random
 import string
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Hashable, Iterable, Sequence
 
+import numpy as np
+
 from .errors import (
     AllClassesIgnoredError,
     EmptyPoolsError,
+    MalformedImageError,
     TargetTooSmallError,
 )
 
@@ -41,7 +47,7 @@ class Domain(str, Enum):
     OUT_OF_DOMAIN = "out-of-domain"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImageRecord:
     """One annotated image: id, the set of object classes present, and
     its recorded rotation."""
@@ -54,9 +60,22 @@ class ImageRecord:
     def from_json(cls, obj: dict) -> "ImageRecord":
         return cls(
             image_id=str(obj["image_id"]),
-            classes=frozenset(obj["classes"]),
+            classes=_class_set(obj),
             rotation=Rotation(obj.get("rotation", "zero")),
         )
+
+
+def _class_set(obj: dict) -> frozenset[str]:
+    """An image record's ``classes`` as interned strings, so the many
+    images naming one class share one string. Anything but a list of
+    strings is refused; a string would read as one class per letter."""
+    classes = obj["classes"]
+    if isinstance(classes, list):
+        try:
+            return frozenset(map(sys.intern, classes))  # sys.intern takes only str
+        except TypeError:
+            pass
+    raise MalformedImageError(f"image {obj.get('image_id')!r}: classes must be a list of strings, got {classes!r}")
 
 
 @dataclass(frozen=True)
@@ -85,7 +104,7 @@ class DomainSpec:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SampleStep:
     """Trace of one selection turn: the pool drawn from, the candidate
     ids offered (in draw order) and the chosen one."""
@@ -149,6 +168,51 @@ def _entropy_with(counts: dict[str, int], classes: frozenset[str]) -> float:
     return class_entropy(merged.values())
 
 
+def _gain(n: int) -> float:
+    """(n+1)*ln(n+1) - n*ln(n): how much one more image raises a count
+    n's share of S = sum(c * ln c), in a form free of cancellation."""
+    return math.log(n + 1) + n * math.log1p(1 / n) if n else 0.0
+
+
+# Near-tie window, from a float error bound (u = 2**-53). class_entropy
+# sums K terms p*ln(p), p = c/T: the quotient, the log (within 2 ulps)
+# and the product leave each term off by at most 4u*|p ln p| + 1.01u*p,
+# and the running sum adds at most (K - 1)*u*H. With H <= ln K its result
+# is off by at most e = u*((K + 3)*ln K + 1). _gain(n) <= ln T + 1 is off
+# by at most 6u*(ln T + 1), so a sum of `size` gains is off by at most
+# 12*size*u*(ln T + 1). The true entropy after adding a candidate is
+# ln T - (S + gain)/T with T shared by the turn's candidates, so when two
+# computed gains differ by more than 2*T*e + 2*12*size*u*(ln T + 1),
+# class_entropy cannot rank them the other way. The window is that
+# bound times _SLACK.
+_UNIT_ROUNDOFF = 2.0**-53
+_SLACK = 4
+
+
+def _choose(
+    counts: dict[str, int], total: int, size: int, drawn: Iterable[tuple[int, ImageRecord]]
+) -> tuple[int, ImageRecord]:
+    """The drawn (index, image) pair whose ``size`` classes, added to
+    ``counts`` (summing to ``total``), give the highest class_entropy;
+    ties go to the smallest image_id, then the smallest draw index."""
+    scored = []
+    for at, img in drawn:
+        pre = tuple(sorted(counts.get(c, 0) for c in img.classes))
+        scored.append((sum(map(_gain, pre)), pre, at, img))
+    n_classes, new_total = len(counts) + size, total + size  # K (at most) and T after the merge
+    e = _UNIT_ROUNDOFF * ((n_classes + 3) * math.log(n_classes) + 1)
+    window = _SLACK * (2 * new_total * e + 2 * 12 * size * _UNIT_ROUNDOFF * (math.log(new_total) + 1))
+    best = min(gain for gain, *_ in scored)
+    near = [(pre, at, img) for gain, pre, at, img in scored if gain <= best + window]
+    if len({pre for pre, _, _ in near}) > 1:
+        # Different count multisets this close: rank them by class_entropy.
+        _, at, img = min(near, key=lambda t: (-_entropy_with(counts, t[2].classes), t[2].image_id, t[1]))
+    else:
+        # One multiset after the merge, hence bitwise-equal entropies.
+        _, at, img = min(near, key=lambda t: (t[2].image_id, t[1]))
+    return at, img
+
+
 def sample(
     eligible: Sequence[ImageRecord],
     auto_include: Sequence[ImageRecord],
@@ -166,6 +230,16 @@ def sample(
     entropy over class counts (ties break toward the smallest
     image_id), and returns the others to the pool. Stops when
     ``target_count`` images are selected or every pool is empty.
+
+    The candidates of a turn all add the same number of classes, so the
+    new total T is shared and the entropy ln T - S/T, S = sum(c * ln c),
+    is highest where S rises least. Each candidate is scored by that
+    rise over its own classes only. Candidates with equal sorted
+    pre-counts merge into equal count multisets, so they tie exactly.
+    Candidates whose rise is within a rounding-error bound of the best,
+    with different pre-counts, are re-scored with :func:`class_entropy`
+    over the merged counts, so the choice is the one a full entropy
+    recount per candidate would make, bit for bit.
     """
     if n_candidates < 1:
         raise ValueError("n_candidates must be >= 1")
@@ -182,6 +256,7 @@ def sample(
         selected.append(img.image_id)
         for c in img.classes:
             counts[c] = counts.get(c, 0) + 1
+    total = sum(counts.values())
 
     pools: dict[int, list[ImageRecord]] = {k: [] for k in POOL_KEYS}
     for img in eligible:
@@ -205,18 +280,12 @@ def sample(
                 continue
             indices = rng.sample(range(len(pool)), min(n_candidates, len(pool)))
             candidates = [pool[i] for i in indices]
-            chosen_at, chosen = min(
-                zip(indices, candidates),
-                key=lambda pair: (
-                    -_entropy_with(counts, pair[1].classes),
-                    pair[1].image_id,
-                    pair[0],
-                ),
-            )
+            chosen_at, chosen = _choose(counts, total, key, zip(indices, candidates))
             pool.pop(chosen_at)
             selected.append(chosen.image_id)
             for c in chosen.classes:
                 counts[c] = counts.get(c, 0) + 1
+            total += key
             state.trace.append(
                 SampleStep(
                     pool=key,
@@ -253,21 +322,40 @@ _PUNCT_TABLE = str.maketrans({ch: " " for ch in string.punctuation})
 
 def tokenize(text: str) -> list[str]:
     """Caption tokenization for n-gram statistics: lowercase, punctuation
-    to spaces, split on whitespace."""
-    return text.lower().translate(_PUNCT_TABLE).split()
+    to spaces, split on whitespace. Tokens are interned, so repeats of a
+    word share one string."""
+    return list(map(sys.intern, text.lower().translate(_PUNCT_TABLE).split()))
 
 
 def ngram_stats(
     captions: Iterable[Sequence[Hashable]], n_max: int = 4
 ) -> dict[int, int]:
-    """Count distinct n-grams for n = 1..n_max across all captions."""
+    """Count distinct n-grams for n = 1..n_max across all captions.
+
+    Tokens (any hashables, compared as dict keys) get integer ids in
+    one int64 array, with -1 closing each caption. An n-gram's code is
+    the rank of the pair (its (n-1)-gram code, its last token id) among
+    all such pairs; the pair value is below len(tokens)**2, so it never
+    overflows. n-grams that span a caption end get code -1.
+    """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    seen: dict[int, set[tuple]] = {n: set() for n in range(1, n_max + 1)}
-    for caption in captions:
-        toks = tuple(caption)
-        for n in range(1, n_max + 1):
-            grams = seen[n]
-            for i in range(len(toks) - n + 1):
-                grams.add(toks[i : i + n])
-    return {n: len(grams) for n, grams in seen.items()}
+    ids: dict[Hashable, int] = {}
+
+    def stream():
+        for caption in captions:
+            for tok in caption:
+                yield ids.setdefault(tok, len(ids))
+            yield -1
+
+    tokens = np.fromiter(stream(), dtype=np.int64)
+    stats = {1: len(ids)}
+    grams = tokens  # grams[i]: code of the n-gram starting at token i
+    for n in range(2, n_max + 1):
+        prev, last = grams[:-1], tokens[n - 1 :]
+        valid = (prev >= 0) & (last >= 0)
+        codes, inverse = np.unique(prev[valid] * len(ids) + last[valid], return_inverse=True)
+        stats[n] = len(codes)
+        grams = np.full(len(last), -1, dtype=np.int64)
+        grams[valid] = inverse
+    return stats

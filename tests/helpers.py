@@ -1,14 +1,17 @@
 """Shared test oracles, all deliberately independent of the library's
-FSM/beam machinery: plain substring scans and exhaustive enumeration."""
+FSM/beam/sampler machinery: plain substring scans, exhaustive
+enumeration and full recounts."""
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import numpy as np
 
 from lexbeam import BigramModel, ConstraintGroup, TableScorer, Vocabulary
+from lexbeam.sampling import POOL_KEYS, SampleStep, SelectionState
 
 
 def contains_phrase(seq, phrase) -> bool:
@@ -169,3 +172,56 @@ def reference_transitions(groups: list[ConstraintGroup], vocab: Vocabulary, mode
             else:
                 table[sid, tok] = faithful_target(label, tok)
     return table
+
+
+def reference_entropy(counts) -> float:
+    """Shannon entropy of a count multiset, summed in sorted order."""
+    counts = sorted(c for c in counts if c > 0)
+    total = sum(counts)
+    if total == 0:
+        return 0.0
+    return -sum((c / total) * math.log(c / total) for c in counts)
+
+
+def reference_sample(eligible, auto_include, target_count, n_candidates, seed) -> SelectionState:
+    """Greedy entropy-maximizing selection that recounts the entropy of
+    the whole class distribution for every candidate: same pools, draws
+    and tie-breaks as :func:`lexbeam.sample`, without its incremental
+    scoring. Validation of the arguments is left to the library."""
+    counts: dict[str, int] = {}
+    selected: list[str] = []
+    for img in auto_include:
+        selected.append(img.image_id)
+        for c in img.classes:
+            counts[c] = counts.get(c, 0) + 1
+
+    def entropy_with(classes):
+        merged = dict(counts)
+        for c in classes:
+            merged[c] = merged.get(c, 0) + 1
+        return reference_entropy(merged.values())
+
+    pools = {k: [img for img in eligible if len(img.classes) == k] for k in POOL_KEYS}
+    rng = random.Random(seed)
+    state = SelectionState(selected=selected, class_counts=counts, rng_seed=seed)
+    while len(selected) < target_count and any(pools.values()):
+        for key in POOL_KEYS:
+            if len(selected) >= target_count:
+                break
+            pool = pools[key]
+            if not pool:
+                continue
+            indices = rng.sample(range(len(pool)), min(n_candidates, len(pool)))
+            candidates = [pool[i] for i in indices]
+            chosen_at, chosen = min(
+                zip(indices, candidates),
+                key=lambda pair: (-entropy_with(pair[1].classes), pair[1].image_id, pair[0]),
+            )
+            pool.pop(chosen_at)
+            selected.append(chosen.image_id)
+            for c in chosen.classes:
+                counts[c] = counts.get(c, 0) + 1
+            state.trace.append(
+                SampleStep(pool=key, candidates=tuple(img.image_id for img in candidates), chosen=chosen.image_id)
+            )
+    return state

@@ -316,6 +316,32 @@ def test_sample_requires_seed(run, tmp_path):
     assert json.loads(err.strip().splitlines()[-1])["error"] == "usage"
 
 
+@pytest.mark.parametrize("seed,candidates,target", [(7, 5, 350), (11, 3, 300)])
+def test_sample_stdout_matches_frozen_golden(run, seed, candidates, target):
+    # 2000 seeded images over 40 classes (tests/data/sample_images.jsonl),
+    # golden stdout frozen from the full-recount sampler
+    code, out, _ = run(
+        "sample", "--images", str(DATA / "sample_images.jsonl"), "--target", str(target),
+        "--candidates", str(candidates), "--seed", str(seed),
+    )
+    assert code == 0
+    assert out == (DATA / f"golden_sample_seed-{seed}.jsonl").read_text()
+
+
+@pytest.mark.parametrize("classes", ["dog", 5, ["dog", 5], None])
+def test_sample_rejects_classes_that_are_not_a_list_of_strings(run, tmp_path, classes):
+    path = tmp_path / "images.jsonl"
+    records = [
+        {"image_id": "a", "classes": classes},
+        {"image_id": "b", "classes": ["cat", "cow"]},
+    ]
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    code, out, err = run("sample", "--images", str(path), "--target", "1", "--candidates", "2", "--seed", "0")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "MalformedImageError"
+
+
 # ------------------------------------------------------------------- stats
 
 
@@ -335,6 +361,15 @@ def test_stats_tokenizes_punctuation(run, tmp_path):
     code, out, _ = run("stats", "--captions", str(path), "--n-max", "2")
     # tokens: a dog a dog -> bigrams {a dog, dog a}
     assert json.loads(out) == {"1-grams": 2, "2-grams": 2}
+
+
+@pytest.mark.parametrize("n_max", [4, 6])
+def test_stats_stdout_matches_frozen_golden(run, n_max):
+    # 400 seeded captions with punctuation, case, repeated phrases, a few
+    # pre-tokenized lists (one mixing 1 with "1") and an empty caption
+    code, out, _ = run("stats", "--captions", str(DATA / "stats_captions.jsonl"), "--n-max", str(n_max))
+    assert code == 0
+    assert out == (DATA / f"golden_stats_n-max-{n_max}.jsonl").read_text()
 
 
 # -------------------------------------------------------------- inspect-fsm
@@ -402,6 +437,28 @@ def test_inspect_fsm_rejects_string_alternatives(run, tmp_path, alternatives):
     assert code == 1
     assert out == ""
     assert json.loads(err)["error"] == "MalformedGroupError"
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"min_satisfied": 1, "groups": [{"label": "g", "alternatives": 5}]},
+        {"min_satisfied": 1, "groups": [5]},
+        {"min_satisfied": 1, "groups": [{"label": "g", "alternatives": [[["dog"]]]}]},
+    ],
+)
+def test_non_list_and_non_object_groups_are_input_errors(run, tmp_path, scorer_file, record):
+    cpath, vpath = tmp_path / "c.json", tmp_path / "v.json"
+    cpath.write_text(json.dumps(record))
+    vpath.write_text(json.dumps(["dog"]))
+    for argv in (
+        ("inspect-fsm", "--constraints", str(cpath), "--vocab", str(vpath)),
+        ("decode", "--scorer", scorer_file, "--constraints", str(cpath)),
+    ):
+        code, out, err = run(*argv)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "MalformedGroupError"
 
 
 # --------------------------------------------------------------- manifests

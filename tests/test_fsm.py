@@ -323,6 +323,24 @@ def test_group_validation():
         ConstraintGroup.from_json({"label": "g", "alternatives": ["dog"]})
 
 
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"groups": [{"label": "g", "alternatives": 5}]},
+        {"groups": [{"label": "g", "alternatives": [5]}]},
+        {"groups": [{"label": "g", "alternatives": [[["dog"]]]}]},
+        {"groups": [{"label": "g", "alternatives": [["dog", 5]]}]},
+        {"groups": [5]},
+        {"groups": [["dog"]]},
+        {"groups": {"label": "g", "alternatives": [["dog"]]}},
+        [{"label": "g", "alternatives": [["dog"]]}],
+    ],
+)
+def test_load_constraints_rejects_non_list_and_non_object_json(record):
+    with pytest.raises(MalformedGroupError):
+        load_constraints(record)
+
+
 def test_compile_errors(vocab):
     with pytest.raises(UnknownTokenError):
         compile_fsm([ConstraintGroup("g", (("zebra",),))], 1, vocab)

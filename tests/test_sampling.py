@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,13 +14,17 @@ from lexbeam import (
     exclude,
     ngram_stats,
     sample,
+    sampling,
     tokenize,
 )
 from lexbeam.errors import (
     AllClassesIgnoredError,
     EmptyPoolsError,
+    MalformedImageError,
     TargetTooSmallError,
 )
+
+from helpers import reference_entropy, reference_sample
 
 
 def img(image_id, classes, rotation=Rotation.ZERO):
@@ -206,6 +211,109 @@ GOLDEN_SELECTION = [
 ]
 
 
+def tie_heavy_case(rng):
+    """Few classes, so many candidates share count multisets; ids repeat
+    now and then, so the draw index has to break ties too."""
+    universe = [f"k{i}" for i in range(rng.randint(3, 9))]
+    ids = [f"i{i:02d}" for i in range(rng.randint(5, 60))]
+    if rng.random() < 0.25:
+        ids = [rng.choice(ids[:6]) for _ in ids]
+    images = [
+        img(image_id, rng.sample(universe, rng.randint(1, len(universe))),
+            rng.choice([Rotation.ZERO] * 6 + [Rotation.NONZERO]))
+        for image_id in ids
+    ]
+    eligible, auto = exclude(images)
+    target = rng.randint(len(auto), len(auto) + len(eligible) + 2) if eligible else len(auto)
+    return eligible, auto, target, rng.randint(1, 6)
+
+
+def auto_from_counts(counts):
+    """Three auto-included images that give each class its count (1-3);
+    six classes at count 3 give every image at least 7 classes."""
+    counts = {**counts, **{f"t{i}": 3 for i in range(6)}}
+    return [img(f"auto{k}", [c for c, n in counts.items() if n > k]) for k in range(3)]
+
+
+def test_sample_matches_the_full_recount_reference():
+    rng = random.Random(4500)
+    for case in range(1200):
+        eligible, auto, target, n_candidates = tie_heavy_case(rng)
+        seed = rng.randrange(1 << 30)
+        got = sample(eligible, auto, target, n_candidates, seed)
+        want = reference_sample(eligible, auto, target, n_candidates, seed)
+        assert got.selected == want.selected, case
+        assert got.trace == want.trace, case
+        assert got.class_counts == want.class_counts, case
+
+
+def test_sample_matches_the_reference_on_near_ties(monkeypatch):
+    # Small counts over few classes make different pre-counts with equal
+    # true gains, such as (0, 2, 3) and (1, 1, 1), common enough that the
+    # exact re-score runs; the counter checks that it does.
+    rescored = []
+    entropy_with = sampling._entropy_with
+    monkeypatch.setattr(sampling, "_entropy_with", lambda *a: rescored.append(1) or entropy_with(*a))
+    rng = random.Random(2018)
+    for case in range(2000):
+        universe = [f"k{i}" for i in range(rng.randint(8, 16))]
+        auto = auto_from_counts({c: rng.randint(0, 3) for c in universe})
+        size = rng.choice([3, 4])
+        eligible = [img(f"e{i:02d}", rng.sample(universe, size)) for i in range(rng.randint(2, 10))]
+        args = (eligible, auto, len(auto) + rng.randint(1, 4), rng.randint(2, 6), case)
+        assert sample(*args).trace == reference_sample(*args).trace, case
+    assert rescored
+
+
+def exp_gain(pre_counts):
+    """exp of the exact rise in sum(c ln c) when each count grows by one."""
+    return math.prod(Fraction((n + 1) ** (n + 1), n**n) for n in pre_counts)
+
+
+ONES = {"p": 1, "q": 1, "r": 1}
+
+
+@pytest.mark.parametrize(
+    "background,first,second",
+    [
+        # pre-counts (0, 2, 3) and (1, 1, 1); both gains compute to one float
+        ({"x": 2, "y": 3, **ONES, "o0": 1, "o1": 1}, ["z", "x", "y"], ["p", "q", "r"]),
+        ({"x": 2, "y": 3, **ONES, "o0": 1, "o1": 1, "o2": 1}, ["z", "x", "y"], ["p", "q", "r"]),
+        # pre-counts (0, 2, 2, 3) and (1, 1, 1, 2); the first gain computes
+        # one ulp above the second, yet the first wins in class_entropy
+        ({"x": 2, "w": 2, "y": 3, **ONES, "s": 2, "o0": 1}, ["z", "x", "w", "y"], ["p", "q", "r", "s"]),
+    ],
+)
+def test_equal_true_gains_are_settled_by_class_entropy(background, first, second):
+    # The two candidates raise sum(c ln c) by exactly the same amount
+    # (256/27 * 27/4 = 4 * 4 * 4 = 64, and 432 for the 4-class pair), so
+    # their true entropies tie, but their merged counts differ and
+    # class_entropy tells them apart in the last bits. The winner is
+    # always named "b", so breaking the tie by gain and then by image id,
+    # or by the smallest computed gain alone, picks "a".
+    auto = auto_from_counts(background)
+    counts = sample([], auto, len(auto), 1, 0).class_counts
+    pre_first = sorted(counts.get(c, 0) for c in first)
+    pre_second = sorted(counts.get(c, 0) for c in second)
+    assert pre_first != pre_second
+    assert exp_gain(pre_first) == exp_gain(pre_second)
+
+    def after(classes):
+        merged = dict(counts)
+        for c in classes:
+            merged[c] = merged.get(c, 0) + 1
+        return reference_entropy(merged.values())
+
+    assert after(first) != after(second)
+    first_wins = after(first) > after(second)
+    a = img("b" if first_wins else "a", first)
+    b = img("a" if first_wins else "b", second)
+    for eligible in ([a, b], [b, a]):
+        state = sample(eligible, auto, len(auto) + 1, n_candidates=2, seed=0)
+        assert state.trace[0].chosen == "b"
+        assert state.trace == reference_sample(eligible, auto, len(auto) + 1, 2, 0).trace
+
+
 # ---------------------------------------------------------------- domains
 
 
@@ -265,6 +373,14 @@ def test_record_json_schemas():
     assert rec.rotation is Rotation.UNKNOWN
 
 
+@pytest.mark.parametrize("classes", ["dog", 5, None, ["dog", 5], {"dog": 1}])
+def test_image_classes_must_be_a_list_of_strings(classes):
+    # "dog" used to be read as the classes d, o and g
+    with pytest.raises(MalformedImageError):
+        ImageRecord.from_json({"image_id": "i1", "classes": classes})
+    assert issubclass(MalformedImageError, TypeError)
+
+
 # ----------------------------------------------------------------- n-grams
 
 
@@ -300,6 +416,29 @@ def test_ngram_counts_match_bruteforce_on_random_corpora():
         stats = ngram_stats(corpus, n_max=4)
         for n in range(1, 5):
             assert stats[n] == brute_force_ngrams(corpus, n)
+
+
+@pytest.mark.parametrize(
+    "alphabet",
+    [
+        [1, 2, 3],
+        [(1,), (1, 2), (), ("a",)],
+        [1, "1", (1,), ("1",), None],
+    ],
+)
+def test_ngram_counts_of_non_string_tokens_match_bruteforce(alphabet):
+    rng = random.Random(len(alphabet))
+    for _ in range(20):
+        corpus = [
+            [rng.choice(alphabet) for _ in range(rng.randint(0, 9))]
+            for _ in range(rng.randint(0, 12))
+        ]
+        stats = ngram_stats(corpus, n_max=5)
+        assert stats == {n: brute_force_ngrams(corpus, n) for n in range(1, 6)}
+
+
+def test_ngram_counts_keep_1_and_quoted_1_apart():
+    assert ngram_stats([[1, "1", 1], ["1", 1]], n_max=3) == {1: 2, 2: 2, 3: 1}
 
 
 def test_ngram_counts_monotone_under_corpus_growth():
