@@ -26,7 +26,7 @@ from typing import Iterable, Sequence, TextIO
 
 from . import __version__
 from .beam import DecodeConfig, decode
-from .errors import LexbeamError
+from .errors import LexbeamError, MalformedCaptionError
 from .filtering import (
     Blacklist,
     ClassHierarchy,
@@ -251,7 +251,11 @@ def _cmd_stats(args: argparse.Namespace, out: TextIO) -> None:
     captions = []
     for record in _read_jsonl(args.captions):
         cap = record["caption"]
-        captions.append(tokenize(cap) if isinstance(cap, str) else list(cap))
+        if isinstance(cap, str):
+            cap = tokenize(cap)
+        elif not isinstance(cap, list) or not all(t is None or isinstance(t, (str, int, float)) for t in cap):
+            raise MalformedCaptionError(f"caption must be a string or a list of JSON scalars, got {cap!r}")
+        captions.append(cap)
     counts = ngram_stats(captions, n_max=args.n_max)
     _print_record({f"{n}-grams": c for n, c in counts.items()}, out)
 

@@ -20,7 +20,7 @@ class EmptyGroupError(LexbeamError, ValueError):
 class MalformedGroupError(LexbeamError, TypeError):
     """A constraint record, group, its alternatives or one alternative
     has the wrong JSON type: alternatives must be a list of lists of
-    token strings."""
+    token strings, and ``min_satisfied`` an integer."""
 
 
 class TooManyGroupsError(LexbeamError, ValueError):
@@ -61,6 +61,14 @@ class UnknownClassError(LexbeamError, KeyError):
 
 class MalformedImageError(LexbeamError, TypeError):
     """An image record's ``classes`` is not a list of class-name strings."""
+
+
+class MalformedDomainError(LexbeamError, TypeError):
+    """A domain spec's class set is not a list of class-name strings."""
+
+
+class MalformedCaptionError(LexbeamError, TypeError):
+    """A caption is neither a string nor a list of JSON scalar tokens."""
 
 
 class TargetTooSmallError(LexbeamError, ValueError):

@@ -141,7 +141,9 @@ def load_constraints(obj: dict) -> tuple[list[ConstraintGroup], int]:
     k = obj.get("min_satisfied")
     if k is None:
         k = min(2, len(groups))
-    return groups, int(k)
+    elif not isinstance(k, int) or isinstance(k, bool):
+        raise MalformedGroupError(f"min_satisfied must be an integer, got {k!r}")
+    return groups, k
 
 
 def load_constraints_file(path: str) -> tuple[list[ConstraintGroup], int]:

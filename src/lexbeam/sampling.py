@@ -27,6 +27,7 @@ import numpy as np
 from .errors import (
     AllClassesIgnoredError,
     EmptyPoolsError,
+    MalformedDomainError,
     MalformedImageError,
     TargetTooSmallError,
 )
@@ -97,11 +98,12 @@ class DomainSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DomainSpec":
-        return cls(
-            in_domain=frozenset(obj["in_domain"]),
-            out_of_domain=frozenset(obj["out_of_domain"]),
-            ignored=frozenset(obj.get("ignored", [])),
-        )
+        sets = {key: obj[key] for key in ("in_domain", "out_of_domain")}
+        sets["ignored"] = obj.get("ignored", [])
+        for key, classes in sets.items():
+            if not isinstance(classes, list) or not all(isinstance(c, str) for c in classes):
+                raise MalformedDomainError(f"{key} must be a list of strings, got {classes!r}")
+        return cls(**{key: frozenset(classes) for key, classes in sets.items()})
 
 
 @dataclass(frozen=True, slots=True)

@@ -3,7 +3,7 @@
 Both scorers implement the contract the beam decoder expects: a
 ``vocab`` attribute plus ``next_logprobs(prefix)`` returning a proper
 log-distribution (natural log) over the full vocabulary for the next
-token. Returned vectors are read-only views; do not mutate them.
+token. Returned vectors are read-only; do not mutate them.
 """
 
 from __future__ import annotations
@@ -56,7 +56,8 @@ class BigramModel:
 
     where ``N`` counts the predictable tokens, i.e. every vocabulary
     entry except the start sentinel, which is context-only and has
-    probability zero. All rows are computed once at fit time.
+    probability zero. Only nonzero counts are stored (CSR, sorted by
+    context then token), plus one default per context: O(V + pairs).
     """
 
     context_size = 1
@@ -69,28 +70,27 @@ class BigramModel:
     ):
         if not (alpha > 0 and np.isfinite(alpha)):
             raise NonPositiveAlphaError(f"alpha must be > 0, got {alpha}")
-        for (v, w), c in counts.items():
-            if not (0 <= v < len(vocab) and 0 <= w < len(vocab)):
-                raise UnknownTokenError(f"count pair ({v}, {w}) out of range")
-            if c < 0:
-                raise ValueError(f"negative count for pair ({v}, {w})")
-        self.vocab = vocab
-        self.alpha = float(alpha)
-        self.counts = dict(counts)
-
-        size = len(vocab)
-        table = np.zeros((size, size), dtype=np.float64)
-        for (v, w), c in counts.items():
-            table[v, w] += c
-        n_predictable = size - 1  # start sentinel is never predicted
-        totals = table.sum(axis=1) - table[:, vocab.bos_id]
-        # In place, so no second V x V array is ever allocated.
-        table += self.alpha
-        np.log(table, out=table)
-        table -= np.log(totals + self.alpha * n_predictable)[:, None]
-        table[:, vocab.bos_id] = -np.inf
-        table.flags.writeable = False
-        self._logprobs = table
+        size, bos = len(vocab), vocab.bos_id
+        try:
+            v, w = np.array(list(counts), dtype=np.int64).reshape(-1, 2).T
+        except OverflowError:  # an id past int64 is out of range: compare exactly, raise below
+            v, w = np.array(list(counts), dtype=object).reshape(-1, 2).T
+        c = np.array(list(counts.values()))
+        out_of_range = (v < 0) | (v >= size) | (w < 0) | (w >= size)
+        for i in np.flatnonzero(out_of_range | (c < 0))[:1]:
+            if out_of_range[i]:
+                raise UnknownTokenError(f"count pair ({v[i]}, {w[i]}) out of range")
+            raise ValueError(f"negative count for pair ({v[i]}, {w[i]})")
+        self.vocab, self.alpha = vocab, float(alpha)
+        order = np.lexsort((w, v))
+        order = order[c[order] != 0]  # a zero count scores as the row default
+        v, self._tokens, self._counts = v[order], w[order], c[order]
+        weights = self._counts.astype(np.float64)  # any count type, even past int64, scores in float64
+        totals = np.bincount(v, weights=np.where(self._tokens != bos, weights, 0.0), minlength=size)
+        logden = np.log(totals + self.alpha * (size - 1))  # <s> is never predicted: out of both terms
+        self._indptr = np.searchsorted(v, np.arange(size + 1))
+        self._logprobs = np.log(weights + self.alpha) - logden[v]
+        self._default = np.log(self.alpha) - logden
 
     @classmethod
     def fit(
@@ -127,14 +127,24 @@ class BigramModel:
                 raise UnknownTokenError(f"token id {context} out of range")
         else:
             context = self.vocab.bos_id
-        return self._logprobs[context]
+        row = np.full(len(self.vocab), self._default[context])
+        lo, hi = self._indptr[context], self._indptr[context + 1]
+        row[self._tokens[lo:hi]] = self._logprobs[lo:hi]
+        row[self.vocab.bos_id] = -np.inf
+        row.flags.writeable = False
+        return row
+
+    @property
+    def counts(self) -> dict[tuple[int, int], int]:
+        """The nonzero counts, sorted by (context, token); a new dict."""
+        contexts = np.repeat(np.arange(len(self.vocab)), np.diff(self._indptr))
+        return dict(zip(zip(contexts.tolist(), self._tokens.tolist()), self._counts.tolist()))
 
     def to_json(self) -> dict:
-        triples = sorted((v, w, c) for (v, w), c in self.counts.items() if c)
         return {
             "alpha": self.alpha,
             "vocab": list(self.vocab.content_tokens),
-            "counts": [list(t) for t in triples],
+            "counts": [[v, w, c] for (v, w), c in self.counts.items()],
         }
 
     @classmethod

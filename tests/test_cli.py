@@ -363,6 +363,16 @@ def test_stats_tokenizes_punctuation(run, tmp_path):
     assert json.loads(out) == {"1-grams": 2, "2-grams": 2}
 
 
+@pytest.mark.parametrize("caption", [5, None, {"a": 1, "b": 2}, [["a"]], ["a", {"b": 1}]])
+def test_stats_rejects_captions_that_are_not_strings_or_scalar_lists(run, tmp_path, caption):
+    path = tmp_path / "captions.jsonl"
+    path.write_text(json.dumps({"caption": "a dog"}) + "\n" + json.dumps({"caption": caption}) + "\n")
+    code, out, err = run("stats", "--captions", str(path))
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "MalformedCaptionError"
+
+
 @pytest.mark.parametrize("n_max", [4, 6])
 def test_stats_stdout_matches_frozen_golden(run, n_max):
     # 400 seeded captions with punctuation, case, repeated phrases, a few
@@ -459,6 +469,16 @@ def test_non_list_and_non_object_groups_are_input_errors(run, tmp_path, scorer_f
         assert code == 1
         assert out == ""
         assert json.loads(err)["error"] == "MalformedGroupError"
+
+
+@pytest.mark.parametrize("quota", ["1", True, 1.5, [1]])
+def test_decode_rejects_a_min_satisfied_that_is_not_an_integer(run, tmp_path, scorer_file, quota):
+    cpath = tmp_path / "c.jsonl"
+    cpath.write_text(constraints_line("dog", "park", min_satisfied=quota) + "\n")
+    code, out, err = run("decode", "--scorer", scorer_file, "--constraints", str(cpath))
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "MalformedGroupError"
 
 
 # --------------------------------------------------------------- manifests

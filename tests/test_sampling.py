@@ -20,6 +20,7 @@ from lexbeam import (
 from lexbeam.errors import (
     AllClassesIgnoredError,
     EmptyPoolsError,
+    MalformedDomainError,
     MalformedImageError,
     TargetTooSmallError,
 )
@@ -353,6 +354,14 @@ def test_domain_partition_is_total():
 def test_domain_spec_must_be_disjoint():
     with pytest.raises(ValueError):
         DomainSpec(frozenset({"a"}), frozenset({"a"}))
+
+
+@pytest.mark.parametrize("key", ["in_domain", "out_of_domain", "ignored"])
+@pytest.mark.parametrize("classes", ["dog", 5, None, {"dog": 1}, ["dog", 5], [["dog"]]])
+def test_domain_spec_classes_must_be_lists_of_strings(key, classes):
+    obj = {"in_domain": ["cat"], "out_of_domain": ["cow"], "ignored": ["eye"], key: classes}
+    with pytest.raises(MalformedDomainError):
+        DomainSpec.from_json(obj)
 
 
 def test_record_json_schemas():

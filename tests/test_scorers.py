@@ -116,6 +116,21 @@ def test_fit_errors(vocab):
         BigramModel.fit(["a"], vocab=vocab).next_logprobs([42])
 
 
+@pytest.mark.parametrize(
+    "counts, error, message",
+    [
+        ({(0, 2): 1, (4, 2): 1, (2, 2): -1}, UnknownTokenError, "count pair (4, 2) out of range"),
+        ({(2, -1): 1}, UnknownTokenError, "count pair (2, -1) out of range"),
+        ({(0, 2**70): 1}, UnknownTokenError, f"count pair (0, {2**70}) out of range"),
+        ({(2, 3): -1, (2**64, 1): 1}, ValueError, "negative count for pair (2, 3)"),
+    ],
+)
+def test_bad_count_pairs_report_the_first_in_input_order(vocab, counts, error, message):
+    with pytest.raises(error) as info:
+        BigramModel(vocab, counts, 1.0)
+    assert message in str(info.value)
+
+
 def test_json_roundtrip(tmp_path, vocab):
     model = BigramModel.fit(["a b", "b a"], alpha=0.5, vocab=vocab)
     path = tmp_path / "model.json"
@@ -125,6 +140,46 @@ def test_json_roundtrip(tmp_path, vocab):
     assert loaded.alpha == model.alpha
     for ctx in range(len(vocab)):
         assert np.array_equal(loaded.next_logprobs([ctx]), model.next_logprobs([ctx]))
+
+
+def test_duplicate_model_triples_last_one_wins(vocab):
+    a, b = vocab.id("a"), vocab.id("b")
+    triples = [[a, b, 1], [b, a, 2], [a, b, 5], [b, a, 0], [a, a, 0], [a, a, 3]]
+    model = BigramModel.from_json({"alpha": 0.5, "vocab": ["a", "b"], "counts": triples})
+    assert model.to_json()["counts"] == [[a, a, 3], [a, b, 5]]
+    expected = BigramModel(vocab, {(a, a): 3, (a, b): 5}, 0.5)
+    for ctx in range(len(vocab)):
+        assert model.next_logprobs([ctx]).tobytes() == expected.next_logprobs([ctx]).tobytes()
+
+
+def test_counts_are_derived_nonzero_and_read_only(vocab):
+    a, b = vocab.id("a"), vocab.id("b")
+    model = BigramModel(vocab, {(b, a): 2, (a, b): 0, (a, a): 1}, 1.0)
+    assert list(model.counts.items()) == [((a, a), 1), ((b, a), 2)]
+    model.counts[(a, b)] = 7  # a new dict on each read
+    assert model.counts == {(a, a): 1, (b, a): 2}
+    with pytest.raises(AttributeError):
+        model.counts = {}
+
+
+def test_model_memory_is_linear_in_vocabulary_and_pairs():
+    import tracemalloc
+
+    rng = random.Random(3)
+    vocab = Vocabulary([f"w{i}" for i in range(3998)])  # V = 4000
+    size = len(vocab)
+    counts = {(rng.randrange(size), rng.randrange(1, size)): rng.randrange(1, 50) for _ in range(10_000)}
+    tracemalloc.start()
+    try:
+        model = BigramModel(vocab, counts, 0.5)
+        row = model.next_logprobs([vocab.id("w7")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a dense V x V float64 table would take 128 MB
+    assert peak < 256 * (size + len(counts))
+    assert row.shape == (size,)
+    assert model.counts == {k: c for k, c in sorted(counts.items())}
 
 
 def test_table_scorer_lookup_and_default(vocab):
