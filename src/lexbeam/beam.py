@@ -30,20 +30,21 @@ the search cheap:
   candidate index ``row * V + token`` is exactly the tie-break order of
   the extended sequences.
 * Every token outside the machine's constraint tokens (a "plain" token)
-  leads a parent to its own mask state, so among those tokens only the
-  parent's ``beam_width`` best (ties kept) can survive in that target's
-  beam.
+  leads a parent to its own mask state, so only the parent's
+  ``beam_width`` best plain tokens can survive there, and of those tied
+  at the ``beam_width``-th best (the cut), only the smallest ids.
 * Each scorer context is scored once per call: ``next_logprobs`` runs
   once per distinct key, the last ``scorer.context_size`` tokens of a
   prefix, or the whole prefix when the scorer declares no
-  ``context_size``. What is kept per context is its end and
-  special-token scores and its best ``beam_width`` plain tokens by raw
-  score (ties kept), never its full row, and nothing outlives the step
-  when the key is the whole prefix.
+  ``context_size``. It keeps a fixed-width block, never its full row:
+  the end sentinel, the special tokens and at most ``2 * beam_width - 1``
+  plain tokens (fewer than ``beam_width`` above the cut, then the
+  ``beam_width`` smallest ids at it), padded with -inf. Nothing outlives
+  the step when the key is the whole prefix.
 * Adding a hypothesis logprob to raw scores keeps their order, so the
-  context's best plain tokens are the hypothesis's best, except where
-  rounding makes a lower raw score tie the cut; that hypothesis is
-  scored again from its full row.
+  context's block holds the hypothesis's candidates, except where
+  rounding makes a lower raw score tie the cut; that hypothesis rebuilds
+  its block from its full row, shifted by its logprob.
 * A finisher below the ``beam_width``-th best earlier finisher of its
   state is dropped at once, so stored finishers stay near
   ``beam_width`` per state.
@@ -126,16 +127,17 @@ def _first_per_key(keys: np.ndarray, width: int) -> np.ndarray:
     return np.arange(len(keys)) - np.searchsorted(keys, keys) < width
 
 
-def _score_context(
-    scorer: Scorer, prefix: tuple[int, ...], size: int, eos: int,
+def _candidates(
+    scorer: Scorer, prefix: tuple[int, ...], offset: float, size: int, eos: int,
     special: np.ndarray, plain: np.ndarray, width: int,
 ) -> tuple:
-    """Score one scorer context once for the whole decode call.
+    """Score one scorer context and build its candidate block.
 
-    Returns the raw end-sentinel score, the special-token scores, the
-    ``width``-th best plain score (the cut), the best plain score below
-    the cut, and the finite plain tokens at or above the cut (ties kept,
-    ascending ids) with their scores. The row itself is not kept.
+    Returns the block's tokens and scores (``offset`` plus the row's),
+    the ``width``-th best plain score (the cut) and the best plain score
+    below it. The block is the end sentinel, the special tokens, the
+    plain tokens strictly above the cut and the ``width`` smallest ids
+    tied at it, padded with -inf to ``special.size + 2 * width`` columns.
     """
     row = np.asarray(scorer.next_logprobs(prefix), dtype=float)
     if row.shape != (size,):
@@ -144,11 +146,13 @@ def _score_context(
         )
     if np.isnan(row).any():
         raise ScorerContractError(f"scorer returned NaN for prefix {prefix!r}")
-    rest = row[plain]
+    rest = row[plain] + offset
     cut = np.partition(rest, -width)[-width] if plain.size > width else -np.inf
-    top = np.flatnonzero((rest >= cut) & (rest > -np.inf))
-    lower = np.max(rest, where=rest < cut, initial=-np.inf)
-    return row[eos], row[special], cut, lower, plain[top], rest[top]
+    top = plain[np.concatenate([np.flatnonzero(rest > cut), np.flatnonzero(rest == cut)[:width]])]
+    tokens = np.concatenate([[eos], special, top, np.full(2 * width - 1 - top.size, eos)])
+    scores = row[tokens] + offset
+    scores[1 + special.size + top.size:] = -np.inf
+    return tokens, scores, cut, np.max(rest, where=rest < cut, initial=-np.inf)
 
 
 def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig()) -> DecodeResult:
@@ -171,6 +175,7 @@ def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig(
     # every other ("plain") token leads each state to its own mask state.
     special = fsm.tokens[fsm.tokens != eos]
     plain = np.setdiff1d(np.arange(size), np.append(fsm.tokens, eos))
+    layout = (size, eos, special, plain, width)
 
     context = getattr(scorer, "context_size", None)
     # Contexts scored so far in this call: key -> index into ``blocks``.
@@ -198,33 +203,20 @@ def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig(
             if c is None:
                 c = keys[key] = len(blocks)
                 prefix = tuple(seqs[i, :step].tolist())
-                blocks.append(_score_context(scorer, prefix, size, eos, special, plain, width))
+                blocks.append(_candidates(scorer, prefix, 0.0, *layout))
             ctx[i] = c
-        end_raw, special_raw, cut, lower, top_tokens, top_raw = zip(*blocks)
-        cut, lower = np.array(cut)[ctx], np.array(lower)[ctx]
-        top_size = np.array([t.size for t in top_tokens])
-        top_first = np.cumsum(top_size) - top_size
-
-        end_lp = logprobs + np.array(end_raw)[ctx]
-        special_lp = logprobs[:, None] + np.array(special_raw)[ctx]
+        ids, scores, cut, lower = (np.array(part)[ctx] for part in zip(*blocks))
+        lp = logprobs[:, None] + scores
         # fl(L + x) never decreases as x grows, so ``logprobs + cut`` is each
         # row's ``width``-th best plain score, and a raw value below the cut
         # ties it only when ``logprobs + lower`` rounds to the same sum. Such
-        # a row takes its plain candidates from its full row instead.
+        # a row rebuilds its block from its full row instead.
         tied = (lower > -np.inf) & (logprobs + lower == logprobs + cut)
-        count = np.where(tied, 0, top_size[ctx])
-        owner = np.repeat(np.arange(len(states)), count)
-        # position of each candidate in the concatenated blocks
-        skip = top_first[ctx] - (np.cumsum(count) - count)
-        pos = np.arange(owner.size) + np.repeat(skip, count)
-        plain_lp = [logprobs[owner] + np.concatenate(top_raw)[pos]]
-        plain_flat = [owner * size + np.concatenate(top_tokens)[pos]]
         for i in np.flatnonzero(tied).tolist():
-            row = scorer.next_logprobs(tuple(seqs[i, :step].tolist()))
-            rest = logprobs[i] + np.asarray(row, dtype=float)[plain]
-            (j,) = np.nonzero(rest >= logprobs[i] + cut[i])
-            plain_lp.append(rest[j])
-            plain_flat.append(i * size + plain[j])
+            prefix = tuple(seqs[i, :step].tolist())
+            ids[i], lp[i], _, _ = _candidates(scorer, prefix, logprobs[i], *layout)
+        flat = np.arange(len(states))[:, None] * size + ids
+        end_lp = lp[:, 0]
 
         # A finisher scoring below the ``width``-th best earlier finisher
         # of its state can never be a finalist, so it is not kept.
@@ -243,8 +235,7 @@ def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig(
         if step == cfg.max_len:
             break
 
-        lp = np.concatenate([special_lp.ravel(), *plain_lp])
-        flat = np.concatenate([(np.arange(len(states))[:, None] * size + special).ravel(), *plain_flat])
+        lp, flat = lp[:, 1:].ravel(), flat[:, 1:].ravel()
         alive = lp > -np.inf
         lp, flat = lp[alive], flat[alive]
         target = fsm.targets(states[flat // size], flat % size)

@@ -22,7 +22,7 @@ import json
 import logging
 import sys
 import time
-from typing import Iterable, Sequence, TextIO
+from typing import Iterator, Sequence, TextIO
 
 from . import __version__
 from .beam import DecodeConfig, decode
@@ -73,8 +73,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _emit_error(kind: str, message: str) -> None:
-    sys.stderr.write(json.dumps({"error": kind, "message": message}) + "\n")
+def _emit_error(kind: str, message: str, line: int | None = None) -> None:
+    payload = {"error": kind, "message": message}
+    if line is not None:
+        payload["line"] = line
+    sys.stderr.write(json.dumps(payload) + "\n")
 
 
 class _JsonLogHandler(logging.Handler):
@@ -91,16 +94,24 @@ def _open_input(path: str) -> TextIO:
     return open(path, "r", encoding="utf-8")
 
 
-def _read_jsonl(path: str) -> Iterable[dict]:
-    fp = _open_input(path)
-    try:
-        for line in fp:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
-    finally:
-        if fp is not sys.stdin:
-            fp.close()
+class _Records:
+    """Reads JSON-lines records. ``line`` is the 1-based line, blank
+    lines counted, of the record being read or handled, and None outside
+    any record."""
+
+    line: int | None = None
+
+    def __call__(self, path: str) -> Iterator[dict]:
+        fp = _open_input(path)
+        try:
+            for self.line, text in enumerate(fp, 1):
+                text = text.strip()
+                if text:
+                    yield json.loads(text)
+            self.line = None
+        finally:
+            if fp is not sys.stdin:
+                fp.close()
 
 
 def _print_record(obj: dict, out: TextIO) -> None:
@@ -183,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_decode(args: argparse.Namespace, out: TextIO) -> None:
+def _cmd_decode(args: argparse.Namespace, out: TextIO, records: _Records) -> None:
     model = BigramModel.load(args.scorer)
     cfg_kwargs = dict(
         beam_width=args.beam_width,
@@ -192,7 +203,7 @@ def _cmd_decode(args: argparse.Namespace, out: TextIO) -> None:
         length_normalize=args.length_normalize,
     )
     mode = PhraseMatchMode(args.mode)
-    for record in _read_jsonl(args.constraints):
+    for record in records(args.constraints):
         groups, k = load_constraints(record)
         if args.min_satisfied is not None:
             k = args.min_satisfied
@@ -209,7 +220,7 @@ def _cmd_decode(args: argparse.Namespace, out: TextIO) -> None:
         _print_record(payload, out)
 
 
-def _cmd_filter(args: argparse.Namespace, out: TextIO) -> None:
+def _cmd_filter(args: argparse.Namespace, out: TextIO, records: _Records) -> None:
     hier = (
         default_hierarchy()
         if args.hierarchy is None
@@ -219,7 +230,7 @@ def _cmd_filter(args: argparse.Namespace, out: TextIO) -> None:
         Blacklist.default() if args.blacklist is None else Blacklist.from_file(args.blacklist)
     )
     mode = FilterMode(args.mode)
-    for record in _read_jsonl(args.detections):
+    for record in records(args.detections):
         dets = [Detection.from_json(d) for d in record.get("detections", [])]
         groups = filter_constraints(
             dets,
@@ -239,17 +250,17 @@ def _cmd_filter(args: argparse.Namespace, out: TextIO) -> None:
         _print_record(payload, out)
 
 
-def _cmd_sample(args: argparse.Namespace, out: TextIO) -> None:
-    images = [ImageRecord.from_json(obj) for obj in _read_jsonl(args.images)]
+def _cmd_sample(args: argparse.Namespace, out: TextIO, records: _Records) -> None:
+    images = [ImageRecord.from_json(obj) for obj in records(args.images)]
     eligible, auto_include = exclude(images)
     state = sample(eligible, auto_include, args.target, args.candidates, args.seed)
     for image_id in state.selected:
         _print_record({"image_id": image_id}, out)
 
 
-def _cmd_stats(args: argparse.Namespace, out: TextIO) -> None:
+def _cmd_stats(args: argparse.Namespace, out: TextIO, records: _Records) -> None:
     captions = []
-    for record in _read_jsonl(args.captions):
+    for record in records(args.captions):
         cap = record["caption"]
         if isinstance(cap, str):
             cap = tokenize(cap)
@@ -260,7 +271,7 @@ def _cmd_stats(args: argparse.Namespace, out: TextIO) -> None:
     _print_record({f"{n}-grams": c for n, c in counts.items()}, out)
 
 
-def _cmd_inspect_fsm(args: argparse.Namespace, out: TextIO) -> None:
+def _cmd_inspect_fsm(args: argparse.Namespace, out: TextIO, records: _Records) -> None:
     groups, k = load_constraints_file(args.constraints)
     with open(args.vocab, "r", encoding="utf-8") as fp:
         vocab = Vocabulary(json.load(fp))
@@ -302,13 +313,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     # calls in one process never stack handlers.
     logger, handler = logging.getLogger("lexbeam"), _JsonLogHandler(logging.WARNING)
     logger.addHandler(handler)
+    records = _Records()
     try:
-        _COMMANDS[args.subcommand](args, sys.stdout)
-    except LexbeamError as exc:
-        _emit_error(type(exc).__name__, str(exc))
-        return 1
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        _emit_error(type(exc).__name__, str(exc))
+        _COMMANDS[args.subcommand](args, sys.stdout, records)
+    except (LexbeamError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+        _emit_error(type(exc).__name__, str(exc), records.line)
         return 1
     except Exception as exc:  # pragma: no cover - internal invariant violations
         _emit_error("internal", f"{type(exc).__name__}: {exc}")

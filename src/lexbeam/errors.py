@@ -67,6 +67,11 @@ class MalformedDomainError(LexbeamError, TypeError):
     """A domain spec's class set is not a list of class-name strings."""
 
 
+class MalformedDetectionError(LexbeamError, TypeError):
+    """A detection is not an object with ``class``, a number ``score``
+    and a ``box`` list of numbers."""
+
+
 class MalformedCaptionError(LexbeamError, TypeError):
     """A caption is neither a string nor a list of JSON scalar tokens."""
 

@@ -17,7 +17,7 @@ from enum import Enum
 from importlib import resources
 from typing import Iterable, Sequence
 
-from .errors import DegenerateBoxError, UnknownClassError
+from .errors import DegenerateBoxError, MalformedDetectionError, UnknownClassError
 from .fsm import ConstraintGroup
 
 logger = logging.getLogger(__name__)
@@ -54,11 +54,16 @@ class Detection:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Detection":
-        return cls(
-            class_name=str(obj["class"]),
-            confidence=float(obj["score"]),
-            box=tuple(float(v) for v in obj["box"]),
-        )
+        if not isinstance(obj, dict) or not {"class", "score", "box"} <= obj.keys():
+            raise MalformedDetectionError(f"a detection needs class, score and box, got {obj!r}")
+        score, box = obj["score"], obj["box"]
+        if not isinstance(box, (list, tuple)) or not all(map(_is_number, [score, *box])):
+            raise MalformedDetectionError(f"detection score and box must be numbers, got {score!r} and {box!r}")
+        return cls(class_name=str(obj["class"]), confidence=float(score), box=tuple(float(v) for v in box))
+
+
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _check_box(box: Box) -> None:

@@ -46,6 +46,14 @@ def assert_normalized(logprobs: np.ndarray, tol: float = 1e-6) -> None:
         raise ValueError(f"log-probabilities sum to exp({total}), not 1")
 
 
+def _exact(values: list) -> np.ndarray:
+    """``values`` as int64, or as exact Python ints when one is past int64."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:  # an id past int64 is out of range, a count is kept exact
+        return np.array(values, dtype=object)
+
+
 class BigramModel:
     """Laplace-smoothed bigram language model.
 
@@ -71,11 +79,8 @@ class BigramModel:
         if not (alpha > 0 and np.isfinite(alpha)):
             raise NonPositiveAlphaError(f"alpha must be > 0, got {alpha}")
         size, bos = len(vocab), vocab.bos_id
-        try:
-            v, w = np.array(list(counts), dtype=np.int64).reshape(-1, 2).T
-        except OverflowError:  # an id past int64 is out of range: compare exactly, raise below
-            v, w = np.array(list(counts), dtype=object).reshape(-1, 2).T
-        c = np.array(list(counts.values()))
+        v, w = _exact(list(counts)).reshape(-1, 2).T
+        c = _exact(list(counts.values()))
         out_of_range = (v < 0) | (v >= size) | (w < 0) | (w >= size)
         for i in np.flatnonzero(out_of_range | (c < 0))[:1]:
             if out_of_range[i]:

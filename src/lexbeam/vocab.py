@@ -25,10 +25,8 @@ class Vocabulary:
 
     __slots__ = ("tokens", "bos_id", "eos_id", "_index")
 
-    def __init__(self, words: Iterable[str], bos: str = BOS, eos: str = EOS):
-        if bos == eos:
-            raise ValueError("start and end sentinels must differ")
-        tokens = [bos, eos]
+    def __init__(self, words: Iterable[str]):
+        tokens = [BOS, EOS]
         tokens.extend(words)
         index: dict[str, int] = {}
         for i, tok in enumerate(tokens):

@@ -439,6 +439,31 @@ def test_decode_at_working_scale_stays_fast():
     assert result.satisfied_count >= 2
 
 
+def test_decode_memory_is_bounded_on_all_tied_contexts():
+    import tracemalloc
+
+    # every context has at most three observed successors, so under
+    # Laplace smoothing the rest of the vocabulary ties at its cut
+    vocab = Vocabulary([f"w{i}" for i in range(20_000)])
+    size = len(vocab)
+    corpus = [f"w{i} w{(7 * i + 3) % size} w{(11 * i + 5) % size}" for i in range(0, 300, 3)]
+    model = BigramModel.fit(corpus, alpha=0.5, vocab=vocab)
+    groups = [ConstraintGroup("a", (("w10",),)), ConstraintGroup("b", (("w20", "w21"),))]
+    fsm = compile_fsm(groups, 2, vocab)
+    cfg = DecodeConfig(beam_width=5, max_len=8)
+    rows = fsm.state_count * cfg.beam_width  # live hypotheses per step, at most
+    tracemalloc.start()
+    try:
+        result = decode(model, fsm, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # O(V + rows * beam_width): a few length-V rows while one context is
+    # scored, never a candidate per (row, vocabulary token)
+    assert peak < 160 * size + 1024 * rows * cfg.beam_width
+    assert result.satisfied_count == 2
+
+
 def test_sentinel_tokens_may_appear_in_constraints():
     # legal but unusual: the end sentinel is routed through the
     # transition table like any token, so a group keyed on it is

@@ -481,6 +481,67 @@ def test_decode_rejects_a_min_satisfied_that_is_not_an_integer(run, tmp_path, sc
     assert json.loads(err)["error"] == "MalformedGroupError"
 
 
+# ------------------------------------------------------ error line numbers
+
+
+def test_stats_error_names_the_record_line(run, tmp_path):
+    path = tmp_path / "captions.jsonl"
+    path.write_text(json.dumps({"caption": "a dog"}) + "\n" + json.dumps({"caption": 5}) + "\n")
+    code, out, err = run("stats", "--captions", str(path))
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "MalformedCaptionError",
+        "message": "caption must be a string or a list of JSON scalars, got 5",
+        "line": 2,
+    }
+
+
+def test_decode_error_line_counts_blank_lines(run, scorer_file, tmp_path):
+    cpath = tmp_path / "constraints.jsonl"
+    lines = [constraints_line("dog"), "", constraints_line("zebra"), constraints_line("park")]
+    cpath.write_text("\n".join(lines) + "\n")
+    code, out, err = run("decode", "--scorer", scorer_file, "--constraints", str(cpath))
+    assert code == 1
+    assert len(out.splitlines()) == 1  # records before the bad one are still printed
+    payload = json.loads(err)
+    assert (payload["error"], payload["line"]) == ("UnknownTokenError", 3)
+
+
+def test_errors_outside_any_record_carry_no_line(run, tmp_path):
+    # the candidate count is checked after every image is read
+    code, out, err = run("sample", "--images", images_jsonl(tmp_path), "--target", "3", "--candidates", "0", "--seed", "0")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "ValueError", "message": "n_candidates must be >= 1"}
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"alpha": 1.0, "vocab": ["a"], "counts": [[0, 9, 1]]}))
+    code, out, err = run("decode", "--scorer", str(model), "--constraints", str(model))
+    assert (code, out) == (1, "")
+    assert "line" not in json.loads(err)
+
+
+@pytest.mark.parametrize(
+    "detection",
+    [
+        {"class": "Dog", "score": 0.9},
+        {"class": "Dog", "score": None, "box": [0, 0, 1, 1]},
+        {"class": "Dog", "score": "0.9", "box": [0, 0, 1, 1]},
+        {"class": "Dog", "score": 0.9, "box": [0, 0, "1", 1]},
+        {"class": "Dog", "score": 0.9, "box": 5},
+        {"score": 0.9, "box": [0, 0, 1, 1]},
+        [0.9],
+    ],
+)
+def test_filter_rejects_malformed_detections_with_their_line(run, tmp_path, detection):
+    path = tmp_path / "detections.jsonl"
+    good = {"class": "Dog", "score": 0.9, "box": [0, 0, 1, 1]}
+    path.write_text("".join(json.dumps({"detections": d}) + "\n" for d in ([good], [good, detection])))
+    code, out, err = run("filter", "--detections", str(path))
+    assert code == 1
+    assert len(out.splitlines()) == 1
+    payload = json.loads(err)
+    assert (payload["error"], payload["line"]) == ("MalformedDetectionError", 2)
+
+
 # --------------------------------------------------------------- manifests
 
 

@@ -13,7 +13,7 @@ from lexbeam import (
     iou,
     suppress_overlaps,
 )
-from lexbeam.errors import DegenerateBoxError, UnknownClassError
+from lexbeam.errors import DegenerateBoxError, LexbeamError, MalformedDetectionError, UnknownClassError
 
 
 def det(cls, conf, box):
@@ -275,3 +275,22 @@ def test_detection_record_schema():
     assert d.class_name == "Dog"
     assert d.confidence == 0.93
     assert d.box == (1.0, 2.0, 3.0, 4.0)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"class": "Dog", "score": 0.93},
+        {"class": "Dog", "box": [1, 2, 3, 4]},
+        {"score": 0.93, "box": [1, 2, 3, 4]},
+        {"class": "Dog", "score": None, "box": [1, 2, 3, 4]},
+        {"class": "Dog", "score": True, "box": [1, 2, 3, 4]},
+        {"class": "Dog", "score": 0.93, "box": [1, 2, None, 4]},
+        {"class": "Dog", "score": 0.93, "box": "1234"},
+        "Dog",
+    ],
+)
+def test_malformed_detection_records_raise_a_typed_error(obj):
+    with pytest.raises(MalformedDetectionError) as info:
+        Detection.from_json(obj)
+    assert isinstance(info.value, LexbeamError) and isinstance(info.value, TypeError)

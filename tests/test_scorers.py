@@ -152,6 +152,21 @@ def test_duplicate_model_triples_last_one_wins(vocab):
         assert model.next_logprobs([ctx]).tobytes() == expected.next_logprobs([ctx]).tobytes()
 
 
+def test_counts_past_int64_are_saved_exactly(tmp_path):
+    vocab = Vocabulary(["a", "b"])
+    model = BigramModel(vocab, {(2, 3): 2**63, (0, 2): 1}, 1.0)
+    path = tmp_path / "model.json"
+    model.save(str(path))
+    # compared as text: 1.0 == 1 and 9.223372036854776e+18 == 2**63 in Python
+    assert '"counts": [[0, 2, 1], [2, 3, 9223372036854775808]]' in path.read_text()
+    loaded = BigramModel.load(str(path))
+    for ctx in range(len(vocab)):
+        assert loaded.next_logprobs([ctx]).tobytes() == model.next_logprobs([ctx]).tobytes()
+    # the rows are the closed form over float64 counts, as before
+    den = np.log(np.float64(2**63) + 1.0 * 3)
+    assert model.next_logprobs([2])[3] == np.log(np.float64(2**63) + 1.0) - den
+
+
 def test_counts_are_derived_nonzero_and_read_only(vocab):
     a, b = vocab.id("a"), vocab.id("b")
     model = BigramModel(vocab, {(b, a): 2, (a, b): 0, (a, a): 1}, 1.0)
