@@ -94,13 +94,12 @@ class DecodeConfig:
 
 @dataclass(frozen=True, slots=True)
 class BeamHypothesis:
-    """A finished candidate: tokens (ending in the end sentinel), score,
-    the FSM state it finished in, and a completion flag."""
+    """A finished candidate: tokens (ending in the end sentinel), score
+    and the FSM state it finished in."""
 
     tokens: tuple[int, ...]
     logprob: float
     fsm_state: int
-    complete: bool
 
 
 @dataclass(frozen=True)
@@ -259,7 +258,7 @@ def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig(
     for i in order.tolist():
         s = int(fin_state[i])
         tokens = tuple(t for t in ends[i].tolist() if t >= 0)
-        finalists.setdefault(s, []).append(BeamHypothesis(tokens, float(fin_lp[i]), s, True))
+        finalists.setdefault(s, []).append(BeamHypothesis(tokens, float(fin_lp[i]), s))
 
     reached = max((fsm.satisfied_count(s) for s in finalists), default=-1)
     if reached < fsm.min_satisfied and not cfg.min_satisfied_fallback:

@@ -17,7 +17,6 @@ for repeated runs byte-identical by default.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import sys
@@ -26,8 +25,10 @@ from typing import Iterator, Sequence, TextIO
 
 from . import __version__
 from .beam import DecodeConfig, decode
-from .errors import LexbeamError, MalformedCaptionError
+from .errors import LexbeamError, MalformedCaptionError, MalformedDetectionError
 from .filtering import (
+    DEFAULT_IOU_THRESHOLD,
+    DEFAULT_TOP_K,
     Blacklist,
     ClassHierarchy,
     Detection,
@@ -44,24 +45,6 @@ from .fsm import (
 from .sampling import ImageRecord, exclude, ngram_stats, sample, tokenize
 from .scorers import BigramModel
 from .vocab import Vocabulary
-
-
-@dataclasses.dataclass
-class RunManifest:
-    """What happened in one CLI run, sufficient to replay it."""
-
-    subcommand: str
-    flags: dict
-    inputs: list[str]
-    outputs: list[str]
-    seed: int | None
-    version: str
-    wall_time_ms: float | None = None
-
-    def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fp:
-            json.dump(dataclasses.asdict(self), fp, sort_keys=True)
-            fp.write("\n")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -136,8 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="-",
         help="JSON-lines constraint records ('-' for stdin)",
     )
-    p.add_argument("--beam-width", type=int, default=5)
-    p.add_argument("--max-len", type=int, default=20)
+    p.add_argument("--beam-width", type=int, default=DecodeConfig.beam_width)
+    p.add_argument("--max-len", type=int, default=DecodeConfig.max_len)
     p.add_argument(
         "--mode",
         choices=[m.value for m in PhraseMatchMode],
@@ -162,8 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[m.value for m in FilterMode],
         default=FilterMode.FULL.value,
     )
-    p.add_argument("--top-k", type=int, default=3)
-    p.add_argument("--iou-threshold", type=float, default=0.85)
+    p.add_argument("--top-k", type=int, default=DEFAULT_TOP_K)
+    p.add_argument("--iou-threshold", type=float, default=DEFAULT_IOU_THRESHOLD)
     p.add_argument(
         "--min-satisfied",
         type=int,
@@ -195,20 +178,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_decode(args: argparse.Namespace, out: TextIO, records: _Records) -> None:
-    model = BigramModel.load(args.scorer)
-    cfg_kwargs = dict(
+    cfg = DecodeConfig(
         beam_width=args.beam_width,
         max_len=args.max_len,
         min_satisfied_fallback=args.fallback == "on",
         length_normalize=args.length_normalize,
     )
+    model = BigramModel.load(args.scorer)
     mode = PhraseMatchMode(args.mode)
     for record in records(args.constraints):
         groups, k = load_constraints(record)
         if args.min_satisfied is not None:
             k = args.min_satisfied
         fsm = compile_fsm(groups, k, model.vocab, mode)
-        result = decode(model, fsm, DecodeConfig(**cfg_kwargs))
+        result = decode(model, fsm, cfg)
         caption = model.vocab.words(model.vocab.strip_sentinels(result.tokens))
         payload = {
             "caption": list(caption),
@@ -230,10 +213,15 @@ def _cmd_filter(args: argparse.Namespace, out: TextIO, records: _Records) -> Non
         Blacklist.default() if args.blacklist is None else Blacklist.from_file(args.blacklist)
     )
     mode = FilterMode(args.mode)
+    filter_constraints([], hier, blacklist, mode, args.top_k, args.iou_threshold)  # checks the flags
     for record in records(args.detections):
-        dets = [Detection.from_json(d) for d in record.get("detections", [])]
+        dets = record.get("detections", []) if isinstance(record, dict) else None
+        if not isinstance(dets, list):
+            raise MalformedDetectionError(
+                f"a detection record must be an object whose detections are a list, got {record!r}"
+            )
         groups = filter_constraints(
-            dets,
+            [Detection.from_json(d) for d in dets],
             hier,
             blacklist,
             mode=mode,
@@ -261,7 +249,9 @@ def _cmd_sample(args: argparse.Namespace, out: TextIO, records: _Records) -> Non
 def _cmd_stats(args: argparse.Namespace, out: TextIO, records: _Records) -> None:
     captions = []
     for record in records(args.captions):
-        cap = record["caption"]
+        if not isinstance(record, dict):
+            raise MalformedCaptionError(f"a caption record must be a JSON object, got {record!r}")
+        cap = record.get("caption")
         if isinstance(cap, str):
             cap = tokenize(cap)
         elif not isinstance(cap, list) or not all(t is None or isinstance(t, (str, int, float)) for t in cap):
@@ -331,16 +321,17 @@ def main(argv: Sequence[str] | None = None) -> int:
             for k, v in vars(args).items()
             if k not in ("subcommand", "manifest", "timings") and v is not None
         }
-        manifest = RunManifest(
-            subcommand=args.subcommand,
-            flags={k: v for k, v in flags.items() if k not in _INPUT_FLAGS},
-            inputs=[str(v) for k, v in vars(args).items() if k in _INPUT_FLAGS and v],
-            outputs=["-"],
-            seed=getattr(args, "seed", None),
-            version=__version__,
-            wall_time_ms=(time.monotonic() - started) * 1000.0 if args.timings else None,
-        )
-        manifest.write(args.manifest)
+        manifest = {
+            "subcommand": args.subcommand,
+            "flags": {k: v for k, v in flags.items() if k not in _INPUT_FLAGS},
+            "inputs": [str(v) for k, v in vars(args).items() if k in _INPUT_FLAGS and v],
+            "outputs": ["-"],
+            "seed": getattr(args, "seed", None),
+            "version": __version__,
+            "wall_time_ms": (time.monotonic() - started) * 1000.0 if args.timings else None,
+        }
+        with open(args.manifest, "w", encoding="utf-8") as fp:
+            fp.write(json.dumps(manifest, sort_keys=True) + "\n")
     return 0
 
 

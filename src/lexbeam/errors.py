@@ -19,8 +19,9 @@ class EmptyGroupError(LexbeamError, ValueError):
 
 class MalformedGroupError(LexbeamError, TypeError):
     """A constraint record, group, its alternatives or one alternative
-    has the wrong JSON type: alternatives must be a list of lists of
-    token strings, and ``min_satisfied`` an integer."""
+    (hierarchy word forms included) has the wrong JSON type: alternatives
+    must be a list of lists of token strings, and ``min_satisfied`` an
+    integer."""
 
 
 class TooManyGroupsError(LexbeamError, ValueError):
@@ -60,7 +61,8 @@ class UnknownClassError(LexbeamError, KeyError):
 
 
 class MalformedImageError(LexbeamError, TypeError):
-    """An image record's ``classes`` is not a list of class-name strings."""
+    """An image record is not an object, or its ``classes`` is not a list
+    of class-name strings."""
 
 
 class MalformedDomainError(LexbeamError, TypeError):
@@ -68,12 +70,14 @@ class MalformedDomainError(LexbeamError, TypeError):
 
 
 class MalformedDetectionError(LexbeamError, TypeError):
-    """A detection is not an object with ``class``, a number ``score``
-    and a ``box`` list of numbers."""
+    """A detection record is not an object whose ``detections`` is a
+    list, or a detection is not an object with ``class``, a number
+    ``score`` and a ``box`` list of numbers."""
 
 
 class MalformedCaptionError(LexbeamError, TypeError):
-    """A caption is neither a string nor a list of JSON scalar tokens."""
+    """A caption record is not an object, or its caption is neither a
+    string nor a list of JSON scalar tokens."""
 
 
 class TargetTooSmallError(LexbeamError, ValueError):

@@ -15,7 +15,7 @@ import logging
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DegenerateBoxError, MalformedDetectionError, UnknownClassError
 from .fsm import ConstraintGroup
@@ -92,47 +92,40 @@ class ClassHierarchy:
     """Object-class tree with per-class surface word forms.
 
     Built from records ``{"class": ..., "parent": ...|null, "forms":
-    [["dog"], ["dogs"]]}``. Lookups are case-insensitive; depth is the
-    distance from a root, and ancestor queries follow parent links.
+    [["dog"], ["dogs"]]}``. Each class's forms are held as one
+    :class:`~lexbeam.fsm.ConstraintGroup`, so they pass its check: a list
+    of non-empty lists of token strings. Lookups are case-insensitive;
+    depth is the distance from a root, and depth and ancestry both walk
+    the parent links (:meth:`_ancestors`).
     """
 
     def __init__(self, records: Iterable[dict]):
         self._parent: dict[str, str | None] = {}
-        self._forms: dict[str, tuple[tuple[str, ...], ...]] = {}
-        self._names: dict[str, str] = {}
+        self._groups: dict[str, ConstraintGroup] = {}
         for rec in records:
             name = str(rec["class"])
             key = name.casefold()
             if key in self._parent:
                 raise ValueError(f"duplicate class {name!r}")
             parent = rec.get("parent")
-            forms = tuple(tuple(form) for form in rec.get("forms", []))
-            if not forms:
-                raise ValueError(f"class {name!r} has no word forms")
             self._parent[key] = None if parent is None else str(parent).casefold()
-            self._forms[key] = forms
-            self._names[key] = name
-        self._depth: dict[str, int] = {}
+            self._groups[key] = ConstraintGroup(name, rec.get("forms", []))
         for key in self._parent:
-            self._compute_depth(key)
+            for _ in self._ancestors(key):  # raises on an unknown parent or a cycle
+                pass
 
-    def _compute_depth(self, key: str) -> int:
-        if key in self._depth:
-            return self._depth[key]
-        chain = []
-        cur: str | None = key
-        while cur is not None and cur not in self._depth:
-            if cur in chain:
-                raise ValueError(f"hierarchy cycle through {cur!r}")
-            chain.append(cur)
-            nxt = self._parent.get(cur)
-            if nxt is not None and nxt not in self._parent:
-                raise UnknownClassError(f"parent {nxt!r} of {cur!r} not defined")
-            cur = nxt
-        base = -1 if cur is None else self._depth[cur]
-        for i, name in enumerate(reversed(chain)):
-            self._depth[name] = base + 1 + i
-        return self._depth[key]
+    def _ancestors(self, key: str) -> Iterator[str]:
+        """The strict ancestors of ``key``, nearest first. A root lies at
+        most ``len(classes) - 1`` steps up, so a longer walk is a cycle."""
+        for _ in range(len(self._parent)):
+            parent = self._parent[key]
+            if parent is None:
+                return
+            if parent not in self._parent:
+                raise UnknownClassError(f"parent {parent!r} of {key!r} not defined")
+            yield parent
+            key = parent
+        raise ValueError(f"hierarchy cycle through {key!r}")
 
     @classmethod
     def from_file(cls, path: str) -> "ClassHierarchy":
@@ -149,23 +142,14 @@ class ClassHierarchy:
         return key
 
     def depth(self, class_name: str) -> int:
-        return self._depth[self._key(class_name)]
+        return sum(1 for _ in self._ancestors(self._key(class_name)))
 
     def word_forms(self, class_name: str) -> tuple[tuple[str, ...], ...]:
-        return self._forms[self._key(class_name)]
+        return self._groups[self._key(class_name)].alternatives
 
     def is_strict_ancestor(self, ancestor: str, descendant: str) -> bool:
         """True iff ``ancestor`` lies strictly above ``descendant``."""
-        top = self._key(ancestor)
-        cur = self._parent[self._key(descendant)]
-        while cur is not None:
-            if cur == top:
-                return True
-            cur = self._parent[cur]
-        return False
-
-    def classes(self) -> tuple[str, ...]:
-        return tuple(self._names[k] for k in sorted(self._names))
+        return self._key(ancestor) in self._ancestors(self._key(descendant))
 
 
 @dataclass(frozen=True)
@@ -291,12 +275,4 @@ def filter_constraints(
         best.values(), key=lambda d: (-d.confidence, d.class_name.casefold())
     )
 
-    groups = []
-    for det in ranked[:top_k]:
-        groups.append(
-            ConstraintGroup(
-                label=det.class_name,
-                alternatives=hier.word_forms(det.class_name),
-            )
-        )
-    return groups
+    return [ConstraintGroup(det.class_name, hier.word_forms(det.class_name)) for det in ranked[:top_k]]

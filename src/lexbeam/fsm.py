@@ -78,50 +78,37 @@ class PhraseMatchMode(str, Enum):
 class ConstraintGroup:
     """One constraint: alternative token sequences, any of which satisfies it.
 
-    ``alternatives`` holds token *strings*; they are resolved against a
-    vocabulary when the group is compiled. Duplicates are collapsed;
-    the label is free-form provenance (typically the source object
-    class).
+    ``alternatives`` is a list or tuple of non-empty lists or tuples of
+    token *strings* (anything else raises :class:`MalformedGroupError`,
+    no or an empty alternative :class:`EmptyGroupError`); they are
+    resolved against a vocabulary when the group is compiled. Duplicates
+    are collapsed; the label is free-form provenance (typically the
+    source object class).
     """
 
     label: str
     alternatives: tuple[tuple[str, ...], ...]
 
     def __post_init__(self):
-        # A string would be iterated as one-letter tokens.
-        if isinstance(self.alternatives, str):
-            raise MalformedGroupError(f"group {self.label!r}: alternatives must be a list, not a string")
-        seen: set[tuple[str, ...]] = set()
-        unique: list[tuple[str, ...]] = []
-        for alt in self.alternatives:
-            if isinstance(alt, str):
-                raise MalformedGroupError(
-                    f"group {self.label!r}: alternative {alt!r} must be a list of tokens, not a string"
-                )
-            alt = tuple(alt)
-            if not alt:
-                raise EmptyGroupError(
-                    f"group {self.label!r} contains an empty alternative"
-                )
-            if alt not in seen:
-                seen.add(alt)
-                unique.append(alt)
-        if not unique:
-            raise EmptyGroupError(f"group {self.label!r} has no alternatives")
-        object.__setattr__(self, "alternatives", tuple(unique))
+        # Only lists and tuples count: a string would be iterated as
+        # one-letter tokens.
+        alts = self.alternatives
+        if not isinstance(alts, (list, tuple)) or not all(
+            isinstance(alt, (list, tuple)) and all(isinstance(tok, str) for tok in alt) for alt in alts
+        ):
+            raise MalformedGroupError(
+                f"group {self.label!r}: alternatives must be a list of lists of token strings, not {alts!r}"
+            )
+        unique = tuple(dict.fromkeys(map(tuple, alts)))
+        if not unique or () in unique:
+            raise EmptyGroupError(f"group {self.label!r} has no alternatives, or an empty one")
+        object.__setattr__(self, "alternatives", unique)
 
     @classmethod
     def from_json(cls, obj: dict) -> "ConstraintGroup":
-        if not isinstance(obj, dict):
-            raise MalformedGroupError(f"a group must be a JSON object, not {obj!r}")
-        label, alternatives = str(obj.get("label", "")), obj["alternatives"]
-        if not isinstance(alternatives, list) or not all(
-            isinstance(alt, list) and all(isinstance(tok, str) for tok in alt) for alt in alternatives
-        ):
-            raise MalformedGroupError(
-                f"group {label!r}: alternatives must be a list of lists of token strings, not {alternatives!r}"
-            )
-        return cls(label=label, alternatives=alternatives)
+        if not isinstance(obj, dict) or "alternatives" not in obj:
+            raise MalformedGroupError(f"a group must be a JSON object with alternatives, not {obj!r}")
+        return cls(label=str(obj.get("label", "")), alternatives=obj["alternatives"])
 
     def to_json(self) -> dict:
         return {

@@ -59,6 +59,8 @@ class ImageRecord:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ImageRecord":
+        if not isinstance(obj, dict):
+            raise MalformedImageError(f"an image record must be a JSON object, got {obj!r}")
         return cls(
             image_id=str(obj["image_id"]),
             classes=_class_set(obj),

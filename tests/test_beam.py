@@ -307,7 +307,6 @@ def test_finalist_states_are_consistent_with_their_tokens():
     assert result.per_state_finalists
     for state, finalists in result.per_state_finalists.items():
         for hyp in finalists:
-            assert hyp.complete
             assert hyp.fsm_state == state
             assert fsm.run(hyp.tokens) == state
             assert hyp.logprob == pytest.approx(

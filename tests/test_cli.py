@@ -24,7 +24,7 @@ from pathlib import Path
 import pytest
 
 from lexbeam import BigramModel, Vocabulary
-from lexbeam.cli import main
+from lexbeam.cli import build_parser, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -540,6 +540,68 @@ def test_filter_rejects_malformed_detections_with_their_line(run, tmp_path, dete
     assert len(out.splitlines()) == 1
     payload = json.loads(err)
     assert (payload["error"], payload["line"]) == ("MalformedDetectionError", 2)
+
+
+@pytest.mark.parametrize("forms", [["dog"], [[1]], "dog"])
+def test_filter_rejects_hierarchy_forms_that_are_not_lists_of_strings(run, tmp_path, forms):
+    hpath, dpath = tmp_path / "hierarchy.json", tmp_path / "detections.jsonl"
+    hpath.write_text(json.dumps([{"class": "dog", "forms": forms}]))
+    dpath.write_text(json.dumps({"detections": [{"class": "dog", "score": 0.9, "box": [0, 0, 1, 1]}]}) + "\n")
+    code, out, err = run("filter", "--hierarchy", str(hpath), "--detections", str(dpath))
+    assert (code, out) == (1, "")
+    payload = json.loads(err)
+    assert payload["error"] == "MalformedGroupError"
+    assert "line" not in payload  # a hierarchy-file error, not a record error
+
+
+@pytest.mark.parametrize(
+    "argv, record, error",
+    [
+        (("filter", "--detections"), [1], "MalformedDetectionError"),
+        (("filter", "--detections"), {"detections": 5}, "MalformedDetectionError"),
+        (("filter", "--detections"), "dog", "MalformedDetectionError"),
+        (("stats", "--captions"), [1], "MalformedCaptionError"),
+        (("stats", "--captions"), ["a", "dog"], "MalformedCaptionError"),
+        (("sample", "--target", "1", "--candidates", "1", "--seed", "0", "--images"), [1], "MalformedImageError"),
+    ],
+)
+def test_non_object_records_are_typed_errors_with_their_line(run, tmp_path, argv, record, error):
+    path = tmp_path / "records.jsonl"
+    good = {"detections": [], "caption": "a dog", "image_id": "i0", "classes": ["dog"]}
+    path.write_text(json.dumps(good) + "\n\n" + json.dumps(record) + "\n")
+    code, out, err = run(*argv, str(path))
+    assert code == 1
+    assert json.loads(err)["error"] == error
+    assert json.loads(err)["line"] == 3
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("decode", "--beam-width", "0"), "beam_width must be >= 1"),
+        (("decode", "--max-len", "0"), "max_len must be >= 1"),
+        (("filter", "--top-k", "-1"), "top_k must be non-negative, got -1"),
+    ],
+)
+@pytest.mark.parametrize("records", ["", "{}\n"])
+def test_flag_errors_carry_no_line_and_precede_reading(run, tmp_path, scorer_file, argv, message, records):
+    path = tmp_path / "records.jsonl"
+    path.write_text(records)
+    inputs = ("--scorer", scorer_file, "--constraints") if argv[0] == "decode" else ("--detections",)
+    code, out, err = run(*argv, *inputs, str(path))
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "ValueError", "message": message}
+
+
+def test_cli_defaults_are_the_library_defaults():
+    from lexbeam.beam import DecodeConfig
+    from lexbeam.filtering import DEFAULT_IOU_THRESHOLD, DEFAULT_TOP_K
+
+    parser = build_parser()
+    decode_args = parser.parse_args(["decode", "--scorer", "m.json"])
+    assert (decode_args.beam_width, decode_args.max_len) == (DecodeConfig().beam_width, DecodeConfig().max_len)
+    filter_args = parser.parse_args(["filter"])
+    assert (filter_args.top_k, filter_args.iou_threshold) == (DEFAULT_TOP_K, DEFAULT_IOU_THRESHOLD)
 
 
 # --------------------------------------------------------------- manifests

@@ -13,7 +13,14 @@ from lexbeam import (
     iou,
     suppress_overlaps,
 )
-from lexbeam.errors import DegenerateBoxError, LexbeamError, MalformedDetectionError, UnknownClassError
+from lexbeam.errors import (
+    DegenerateBoxError,
+    EmptyGroupError,
+    LexbeamError,
+    MalformedDetectionError,
+    MalformedGroupError,
+    UnknownClassError,
+)
 
 
 def det(cls, conf, box):
@@ -103,8 +110,44 @@ def test_hierarchy_rejects_cycles_and_dangling_parents():
         )
     with pytest.raises(UnknownClassError):
         ClassHierarchy([{"class": "A", "parent": "Ghost", "forms": [["a"]]}])
-    with pytest.raises(ValueError):
+    with pytest.raises(EmptyGroupError):
         ClassHierarchy([{"class": "A", "parent": None, "forms": []}])
+    with pytest.raises(EmptyGroupError):
+        ClassHierarchy([{"class": "A", "parent": None}])
+
+
+@pytest.mark.parametrize("forms", [["dog"], [[1]], "dog", [["dog"], "dogs"], 5])
+def test_hierarchy_forms_must_be_lists_of_token_strings(forms):
+    # a string form would be iterated as one-letter tokens
+    with pytest.raises(MalformedGroupError):
+        ClassHierarchy([{"class": "Dog", "parent": None, "forms": forms}])
+
+
+def test_hierarchy_rejects_a_self_parented_class():
+    with pytest.raises(ValueError, match="cycle"):
+        ClassHierarchy([{"class": "A", "parent": "a", "forms": [["a"]]}])
+    with pytest.raises(ValueError, match="cycle"):
+        ClassHierarchy(
+            [{"class": "Root", "parent": None, "forms": [["r"]]}, {"class": "B", "parent": "B", "forms": [["b"]]}]
+        )
+
+
+def test_hierarchy_accepts_a_chain_as_deep_as_the_class_count():
+    # the parent walk is bounded by the class count; the deepest class
+    # of a single chain sits exactly class count - 1 steps below the root
+    n = 600
+    chain = ClassHierarchy(
+        [{"class": f"c{i}", "parent": f"c{i - 1}" if i else None, "forms": [[f"w{i}"]]} for i in range(n)]
+    )
+    assert chain.depth(f"c{n - 1}") == n - 1
+    assert chain.is_strict_ancestor("c0", f"c{n - 1}")
+    assert not chain.is_strict_ancestor(f"c{n - 1}", "c0")
+    assert chain.word_forms(f"C{n - 1}") == ((f"w{n - 1}",),)
+
+
+def test_word_forms_are_deduplicated_in_order():
+    hier = ClassHierarchy([{"class": "Dog", "forms": [["dogs"], ["dog"], ["dogs"]]}])
+    assert hier.word_forms("dog") == (("dogs",), ("dog",))
 
 
 def test_default_blacklist_has_39_classes(blacklist):

@@ -323,6 +323,18 @@ def test_group_validation():
         ConstraintGroup.from_json({"label": "g", "alternatives": ["dog"]})
 
 
+@pytest.mark.parametrize("alternatives", [5, None, (("a", 5),), [["a"], [None]], (["a"], "b"), {("a",): 1}])
+def test_group_rejects_alternatives_that_are_not_lists_of_token_strings(alternatives):
+    with pytest.raises(MalformedGroupError):
+        ConstraintGroup("g", alternatives)
+
+
+def test_group_from_json_needs_an_object_with_alternatives():
+    with pytest.raises(MalformedGroupError):
+        ConstraintGroup.from_json({"label": "g"})
+    assert ConstraintGroup.from_json({"alternatives": [["a"]]}) == ConstraintGroup("", (("a",),))
+
+
 @pytest.mark.parametrize(
     "record",
     [
