@@ -52,12 +52,27 @@ class NonPositiveAlphaError(LexbeamError, ValueError):
     """Smoothing constant must be strictly positive."""
 
 
+class MalformedModelError(LexbeamError, TypeError):
+    """A bigram model file is not an object with ``alpha``, ``vocab`` and
+    ``counts``, its ``counts`` is not a list of ``[v, w, c]`` triples, or
+    an entry of one is not a number ``int()`` accepts."""
+
+
 class DegenerateBoxError(LexbeamError, ValueError):
     """A bounding box with non-positive width or height."""
 
 
 class UnknownClassError(LexbeamError, KeyError):
     """An object class absent from the class hierarchy."""
+
+
+class MalformedHierarchyError(LexbeamError, TypeError):
+    """A class hierarchy is not a list of objects, each with a string
+    ``class``."""
+
+
+class InvalidHierarchyError(LexbeamError, ValueError):
+    """A class hierarchy defines a class twice or has a parent cycle."""
 
 
 class MalformedImageError(LexbeamError, TypeError):

@@ -17,7 +17,13 @@ from enum import Enum
 from importlib import resources
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DegenerateBoxError, MalformedDetectionError, UnknownClassError
+from .errors import (
+    DegenerateBoxError,
+    InvalidHierarchyError,
+    MalformedDetectionError,
+    MalformedHierarchyError,
+    UnknownClassError,
+)
 from .fsm import ConstraintGroup
 
 logger = logging.getLogger(__name__)
@@ -99,14 +105,18 @@ class ClassHierarchy:
     the parent links (:meth:`_ancestors`).
     """
 
-    def __init__(self, records: Iterable[dict]):
+    def __init__(self, records: list[dict]):
+        if not isinstance(records, (list, tuple)):
+            raise MalformedHierarchyError(f"a class hierarchy must be a JSON array of records, got {records!r:.80}")
         self._parent: dict[str, str | None] = {}
         self._groups: dict[str, ConstraintGroup] = {}
         for rec in records:
-            name = str(rec["class"])
+            if not isinstance(rec, dict) or not isinstance(rec.get("class"), str):
+                raise MalformedHierarchyError(f"a hierarchy record must be an object with a string class, got {rec!r:.80}")
+            name = rec["class"]
             key = name.casefold()
             if key in self._parent:
-                raise ValueError(f"duplicate class {name!r}")
+                raise InvalidHierarchyError(f"duplicate class {name!r}")
             parent = rec.get("parent")
             self._parent[key] = None if parent is None else str(parent).casefold()
             self._groups[key] = ConstraintGroup(name, rec.get("forms", []))
@@ -125,7 +135,7 @@ class ClassHierarchy:
                 raise UnknownClassError(f"parent {parent!r} of {key!r} not defined")
             yield parent
             key = parent
-        raise ValueError(f"hierarchy cycle through {key!r}")
+        raise InvalidHierarchyError(f"hierarchy cycle through {key!r}")
 
     @classmethod
     def from_file(cls, path: str) -> "ClassHierarchy":

@@ -120,11 +120,12 @@ class ConstraintGroup:
 def load_constraints(obj: dict) -> tuple[list[ConstraintGroup], int]:
     """Parse a constraint record ``{"min_satisfied": k, "groups": [...]}``.
 
-    ``min_satisfied`` defaults to ``min(2, len(groups))`` when absent.
+    ``groups`` is required (``[]`` for no constraints); ``min_satisfied``
+    defaults to ``min(2, len(groups))`` when absent.
     """
-    if not isinstance(obj, dict) or not isinstance(obj.get("groups", []), list):
+    if not isinstance(obj, dict) or not isinstance(obj.get("groups"), list):
         raise MalformedGroupError("a constraint record must be a JSON object whose groups are a list")
-    groups = [ConstraintGroup.from_json(g) for g in obj.get("groups", [])]
+    groups = [ConstraintGroup.from_json(g) for g in obj["groups"]]
     k = obj.get("min_satisfied")
     if k is None:
         k = min(2, len(groups))

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (
     EmptyCorpusError,
+    MalformedModelError,
     NonPositiveAlphaError,
     UnknownTokenError,
 )
@@ -54,6 +55,25 @@ def _exact(values: list) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
+def _read_counts(counts: object) -> list[np.ndarray]:
+    """The ``v``, ``w`` and ``c`` columns of a model file's ``[v, w, c]``
+    triples, each entry read as by ``int()``: int64, or exact Python
+    ints in a column holding a value past int64."""
+    try:
+        try:
+            table = np.array(counts, dtype=np.int64)
+        except OverflowError:  # a value past int64, or infinite: int() per entry below
+            table = np.array(counts, dtype=object)
+        if table.shape != (0,) and (table.ndim != 2 or table.shape[1] != 3):
+            raise ValueError(f"got shape {table.shape}")
+        columns = table.reshape(-1, 3).T
+        if columns.dtype == object:
+            columns = [_exact([int(x) for x in column]) for column in columns]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MalformedModelError(f"model counts must be a list of [v, w, c] integer triples: {exc}") from None
+    return list(columns)
+
+
 class BigramModel:
     """Laplace-smoothed bigram language model.
 
@@ -76,20 +96,33 @@ class BigramModel:
         counts: Mapping[tuple[int, int], int],
         alpha: float,
     ):
+        v, w = _exact(list(counts)).reshape(-1, 2).T
+        self._build(vocab, v, w, _exact(list(counts.values())), alpha)
+
+    def _build(self, vocab: Vocabulary, v: np.ndarray, w: np.ndarray, c: np.ndarray, alpha: float) -> None:
+        """The one construction path, from ``(v, w, c)`` columns in input
+        order; when a pair repeats, its last triple wins. A bad pair is
+        reported in the order of first occurrence, as a dict of the
+        triples would list it."""
         if not (alpha > 0 and np.isfinite(alpha)):
             raise NonPositiveAlphaError(f"alpha must be > 0, got {alpha}")
         size, bos = len(vocab), vocab.bos_id
-        v, w = _exact(list(counts)).reshape(-1, 2).T
-        c = _exact(list(counts.values()))
+        order = np.lexsort((w, v))  # stable: the triples of one pair stay in input order
+        v, w = v[order], w[order]
+        last = np.ones(len(order), dtype=bool)
+        last[:-1] = (v[1:] != v[:-1]) | (w[1:] != w[:-1])
+        first = order[np.roll(last, 1)]  # each pair's run starts after the previous run's last
+        v, w, c = v[last], w[last], c[order[last]]
         out_of_range = (v < 0) | (v >= size) | (w < 0) | (w >= size)
-        for i in np.flatnonzero(out_of_range | (c < 0))[:1]:
+        bad = np.flatnonzero(out_of_range | (c < 0))
+        if bad.size:
+            i = bad[np.argmin(first[bad])]
             if out_of_range[i]:
                 raise UnknownTokenError(f"count pair ({v[i]}, {w[i]}) out of range")
             raise ValueError(f"negative count for pair ({v[i]}, {w[i]})")
         self.vocab, self.alpha = vocab, float(alpha)
-        order = np.lexsort((w, v))
-        order = order[c[order] != 0]  # a zero count scores as the row default
-        v, self._tokens, self._counts = v[order], w[order], c[order]
+        nonzero = c != 0  # a zero count scores as the row default
+        v, self._tokens, self._counts = v[nonzero], w[nonzero], c[nonzero]
         weights = self._counts.astype(np.float64)  # any count type, even past int64, scores in float64
         totals = np.bincount(v, weights=np.where(self._tokens != bos, weights, 0.0), minlength=size)
         logden = np.log(totals + self.alpha * (size - 1))  # <s> is never predicted: out of both terms
@@ -139,24 +172,39 @@ class BigramModel:
         row.flags.writeable = False
         return row
 
+    def _triples(self) -> np.ndarray:
+        """The stored ``[v, w, c]`` triples, sorted by (v, w)."""
+        contexts = np.repeat(np.arange(len(self.vocab)), np.diff(self._indptr))
+        return np.column_stack((contexts, self._tokens, self._counts))
+
     @property
     def counts(self) -> dict[tuple[int, int], int]:
         """The nonzero counts, sorted by (context, token); a new dict."""
-        contexts = np.repeat(np.arange(len(self.vocab)), np.diff(self._indptr))
-        return dict(zip(zip(contexts.tolist(), self._tokens.tolist()), self._counts.tolist()))
+        return {(v, w): c for v, w, c in self._triples().tolist()}
 
     def to_json(self) -> dict:
         return {
             "alpha": self.alpha,
             "vocab": list(self.vocab.content_tokens),
-            "counts": [[v, w, c] for (v, w), c in self.counts.items()],
+            "counts": self._triples().tolist(),
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "BigramModel":
-        vocab = Vocabulary(obj["vocab"])
-        counts = {(int(v), int(w)): int(c) for v, w, c in obj["counts"]}
-        return cls(vocab, counts, float(obj["alpha"]))
+        if not isinstance(obj, dict) or not {"alpha", "vocab", "counts"} <= obj.keys():
+            raise MalformedModelError("a model must be a JSON object with alpha, vocab and counts")
+        words = obj["vocab"]
+        if not isinstance(words, list) or not all(isinstance(word, str) for word in words):
+            raise MalformedModelError(f"model vocab must be a list of strings, got {words!r:.80}")
+        vocab = Vocabulary(words)
+        columns = _read_counts(obj["counts"])
+        try:
+            alpha = float(obj["alpha"])
+        except (TypeError, ValueError):
+            raise MalformedModelError(f"model alpha must be a number, got {obj['alpha']!r}") from None
+        model = cls.__new__(cls)
+        model._build(vocab, *columns, alpha)
+        return model
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fp:

@@ -1,16 +1,18 @@
 """Shared test oracles, all deliberately independent of the library's
-FSM/beam/sampler machinery: plain substring scans, exhaustive
-enumeration and full recounts."""
+FSM/beam/sampler/model-reader machinery: plain substring scans,
+exhaustive enumeration, full recounts and a per-triple model reader."""
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 
 import numpy as np
 
 from lexbeam import BigramModel, ConstraintGroup, TableScorer, Vocabulary
+from lexbeam.errors import MalformedModelError, NonPositiveAlphaError, UnknownTokenError
 from lexbeam.sampling import POOL_KEYS, SampleStep, SelectionState
 
 
@@ -225,3 +227,43 @@ def reference_sample(eligible, auto_include, target_count, n_candidates, seed) -
                 SampleStep(pool=key, candidates=tuple(img.image_id for img in candidates), chosen=chosen.image_id)
             )
     return state
+
+
+def reference_model_json(obj: dict) -> tuple[list[bytes], str]:
+    """Per-triple reference for ``BigramModel.from_json``. It reads the
+    triples into a ``{(v, w): c}`` dict with one ``int()`` per entry, so
+    a pair's last triple wins and a bad pair is found in the dict's
+    order (its first occurrence, with its last value), checks each pair
+    in a loop and builds every row from the closed form, summing each
+    context's float64 counts in token order. Returns the bytes of each
+    context's row and the JSON text that ``save`` writes."""
+    vocab = Vocabulary(obj["vocab"])
+    try:
+        counts = {(int(v), int(w)): int(c) for v, w, c in obj["counts"]}
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MalformedModelError(str(exc)) from None
+    alpha = float(obj["alpha"])
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise NonPositiveAlphaError(f"alpha must be > 0, got {alpha}")
+    size, bos = len(vocab), vocab.bos_id
+    for (v, w), c in counts.items():
+        if not (0 <= v < size and 0 <= w < size):
+            raise UnknownTokenError(f"count pair ({v}, {w}) out of range")
+        if c < 0:
+            raise ValueError(f"negative count for pair ({v}, {w})")
+    stored = sorted((pair, c) for pair, c in counts.items() if c)
+    rows = []
+    for context in range(size):
+        successors = [(w, np.float64(c)) for (v, w), c in stored if v == context]
+        total = np.float64(0.0)
+        for w, c in successors:
+            if w != bos:
+                total += c
+        logden = np.log(total + alpha * (size - 1))
+        row = np.full(size, np.log(alpha) - logden)
+        for w, c in successors:
+            row[w] = np.log(c + alpha) - logden
+        row[bos] = -np.inf
+        rows.append(row.tobytes())
+    saved = {"alpha": alpha, "vocab": list(obj["vocab"]), "counts": [[v, w, c] for (v, w), c in stored]}
+    return rows, json.dumps(saved, sort_keys=True)

@@ -271,6 +271,60 @@ def test_decode_mode_flag_accepts_both_semantics(run, scorer_file, tmp_path):
         assert json.loads(out)["satisfied"] == 1
 
 
+@pytest.mark.parametrize(
+    "name, flags",
+    [
+        ("default", []),
+        ("beam-3-faithful-norm", ["--beam-width", "3", "--max-len", "10", "--mode", "faithful", "--length-normalize"]),
+        ("beam-8-fallback-off", ["--beam-width", "8", "--max-len", "12", "--fallback", "off"]),
+    ],
+)
+def test_decode_stdout_matches_frozen_golden(run, name, flags):
+    # decode_model.json is a fitted model saved with duplicate and zero
+    # triples appended; the golden stdout was frozen from the reader that
+    # built a {(v, w): c} dict, so the last triple of a pair wins
+    code, out, err = run(
+        "decode", "--scorer", str(DATA / "decode_model.json"),
+        "--constraints", str(DATA / "decode_constraints.jsonl"), *flags,
+    )
+    assert (code, err) == (0, "")
+    assert out == (DATA / f"golden_decode_{name}.jsonl").read_text()
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        [1, 2],
+        {"alpha": 1.0, "vocab": ["a"]},
+        {"alpha": 1.0, "vocab": ["a"], "counts": 5},
+        {"alpha": 1.0, "vocab": ["a"], "counts": [[0, 2]]},
+        {"alpha": 1.0, "vocab": ["a"], "counts": [[0, 2, None]]},
+        {"alpha": 1.0, "vocab": ["a"], "counts": [[0, 2, float("inf")]]},
+        {"alpha": None, "vocab": ["a"], "counts": []},
+        {"alpha": 1.0, "vocab": "ab", "counts": []},
+    ],
+)
+def test_decode_rejects_malformed_model_files(run, tmp_path, model):
+    mpath, cpath = tmp_path / "model.json", tmp_path / "constraints.jsonl"
+    mpath.write_text(json.dumps(model))
+    cpath.write_text(constraints_line("a") + "\n")
+    code, out, err = run("decode", "--scorer", str(mpath), "--constraints", str(cpath))
+    assert (code, out) == (1, "")
+    payload = json.loads(err)
+    assert payload["error"] == "MalformedModelError"
+    assert "line" not in payload  # a model-file error, not a record error
+
+
+def test_decode_rejects_a_record_without_groups(run, scorer_file, tmp_path):
+    cpath = tmp_path / "constraints.jsonl"
+    cpath.write_text(constraints_line(image_id="i0") + "\n" + json.dumps({"image_id": 1}) + "\n")
+    code, out, err = run("decode", "--scorer", scorer_file, "--constraints", str(cpath))
+    assert code == 1
+    assert json.loads(out)["image_id"] == "i0"  # an explicit "groups": [] stays valid
+    payload = json.loads(err)
+    assert (payload["error"], payload["line"]) == ("MalformedGroupError", 2)
+
+
 # ------------------------------------------------------------------ sample
 
 
@@ -540,6 +594,18 @@ def test_filter_rejects_malformed_detections_with_their_line(run, tmp_path, dete
     assert len(out.splitlines()) == 1
     payload = json.loads(err)
     assert (payload["error"], payload["line"]) == ("MalformedDetectionError", 2)
+
+
+@pytest.mark.parametrize("hierarchy", [{"class": "dog", "forms": [["dog"]]}, [[1]], [{"forms": [["dog"]]}]])
+def test_filter_rejects_malformed_hierarchy_files(run, tmp_path, hierarchy):
+    hpath, dpath = tmp_path / "hierarchy.json", tmp_path / "detections.jsonl"
+    hpath.write_text(json.dumps(hierarchy))
+    dpath.write_text(json.dumps({"detections": [{"class": "dog", "score": 0.9, "box": [0, 0, 1, 1]}]}) + "\n")
+    code, out, err = run("filter", "--hierarchy", str(hpath), "--detections", str(dpath))
+    assert (code, out) == (1, "")
+    payload = json.loads(err)
+    assert payload["error"] == "MalformedHierarchyError"
+    assert "line" not in payload
 
 
 @pytest.mark.parametrize("forms", [["dog"], [[1]], "dog"])

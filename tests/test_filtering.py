@@ -16,9 +16,11 @@ from lexbeam import (
 from lexbeam.errors import (
     DegenerateBoxError,
     EmptyGroupError,
+    InvalidHierarchyError,
     LexbeamError,
     MalformedDetectionError,
     MalformedGroupError,
+    MalformedHierarchyError,
     UnknownClassError,
 )
 
@@ -114,6 +116,24 @@ def test_hierarchy_rejects_cycles_and_dangling_parents():
         ClassHierarchy([{"class": "A", "parent": None, "forms": []}])
     with pytest.raises(EmptyGroupError):
         ClassHierarchy([{"class": "A", "parent": None}])
+
+
+@pytest.mark.parametrize(
+    "records, error",
+    [
+        ({"class": "Dog", "forms": [["dog"]]}, MalformedHierarchyError),
+        (5, MalformedHierarchyError),
+        ([[1]], MalformedHierarchyError),
+        (["Dog"], MalformedHierarchyError),
+        ([{"forms": [["dog"]]}], MalformedHierarchyError),
+        ([{"class": 5, "forms": [["dog"]]}], MalformedHierarchyError),
+        ([{"class": "Dog", "forms": [["dog"]]}, {"class": "DOG", "forms": [["dogs"]]}], InvalidHierarchyError),
+        ([{"class": "A", "parent": "a", "forms": [["a"]]}], InvalidHierarchyError),
+    ],
+)
+def test_hierarchy_structure_errors_are_typed(records, error):
+    with pytest.raises(error):
+        ClassHierarchy(records)
 
 
 @pytest.mark.parametrize("forms", [["dog"], [[1]], "dog", [["dog"], "dogs"], 5])

@@ -346,6 +346,8 @@ def test_group_from_json_needs_an_object_with_alternatives():
         {"groups": [["dog"]]},
         {"groups": {"label": "g", "alternatives": [["dog"]]}},
         [{"label": "g", "alternatives": [["dog"]]}],
+        {"image_id": 1},
+        {"min_satisfied": 0, "groups": None},
     ],
 )
 def test_load_constraints_rejects_non_list_and_non_object_json(record):

@@ -1,5 +1,7 @@
+import json
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,10 +9,13 @@ import pytest
 from lexbeam import BigramModel, TableScorer, Vocabulary
 from lexbeam.errors import (
     EmptyCorpusError,
+    MalformedModelError,
     NonPositiveAlphaError,
     UnknownTokenError,
 )
 from lexbeam.scorers import assert_normalized
+
+from helpers import reference_model_json
 
 
 @pytest.fixture
@@ -195,6 +200,130 @@ def test_model_memory_is_linear_in_vocabulary_and_pairs():
     assert peak < 256 * (size + len(counts))
     assert row.shape == (size,)
     assert model.counts == {k: c for k, c in sorted(counts.items())}
+
+
+def _random_model_json(rng: random.Random) -> tuple[dict, set[str]]:
+    """A model file's JSON with duplicate and zero triples, entries that
+    ``int()`` reads (floats, numeric strings, bools), and at times ids
+    or counts past int64, out-of-range ids, negative counts (some
+    overwritten by a later duplicate) or an entry ``int()`` refuses.
+    Returns it with the names of the features it holds."""
+    size = rng.randint(2, 9)
+    pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(rng.randint(1, 8))]
+    triples = [[*rng.choice(pairs), rng.choice([0, 0, 1, 2, 5, 40])] for _ in range(rng.randint(0, 24))]
+    features = set()
+    if len({tuple(t[:2]) for t in triples}) < len(triples):
+        features.add("duplicate")
+    for triple in triples:
+        for j, value in enumerate(triple):
+            r = rng.random()
+            if r < 0.04:
+                triple[j] = value + rng.choice([0.0, 0.25, 0.75])  # truncated, as int() does
+                features.add("float")
+            elif r < 0.08:
+                triple[j] = rng.choice(["{}", " {} ", "+{}"]).format(value)
+                features.add("string")
+            elif r < 0.12 and value in (0, 1):
+                triple[j] = bool(value)
+                features.add("bool")
+    for _ in range(rng.choice([0, 0, 1, 1, 2])):
+        v, w = rng.choice(pairs)
+        at = rng.randint(0, len(triples))
+        kind = rng.choice(["range", "past int64", "negative", "refused"])
+        if kind == "range":
+            triple = rng.choice([[size + rng.randrange(3), w, 1], [v, -1 - rng.randrange(3), 2]])
+        elif kind == "past int64":
+            big = rng.choice([2**63, 2**63 + 7, 2**64, -(2**63) - 1, 1e19])
+            triple = rng.choice([[big, w, 1], [v, big, 1], [v, w, abs(big)]])
+            kind = "count past int64" if triple[2] == abs(big) else "id past int64"
+        elif kind == "negative":
+            triple = [v, w, -rng.randint(1, 3)]
+            if rng.random() < 0.5:
+                triples.insert(at, triple)
+                triple, at, kind = [v, w, rng.randrange(3)], rng.randint(at + 1, len(triples)), "overwritten negative"
+        else:
+            triple = [v, w, rng.choice([None, "2.5", float("nan"), float("inf"), [1]])]
+            rng.shuffle(triple)
+            triple = rng.choice([triple, [v, w]])
+        triples.insert(at, triple)
+        features.add(kind)
+    alpha = rng.choice([1e-3, 0.1, 0.5, 1, 2.0])
+    return {"alpha": alpha, "vocab": [f"w{i}" for i in range(size - 2)], "counts": triples}, features
+
+
+def test_from_json_matches_the_per_triple_reference():
+    rng = random.Random(11)
+    valid, errors = Counter(), Counter()
+    for _ in range(1500):
+        obj, features = _random_model_json(rng)
+        try:
+            rows, saved = reference_model_json(obj)
+        except (MalformedModelError, UnknownTokenError, ValueError) as expected:
+            with pytest.raises(type(expected)) as info:
+                BigramModel.from_json(obj)
+            assert type(info.value) is type(expected)
+            if not isinstance(expected, MalformedModelError):  # its message names the numpy error
+                assert str(info.value) == str(expected)
+            errors[type(expected).__name__] += 1
+            continue
+        model = BigramModel.from_json(obj)
+        assert [model.next_logprobs([v]).tobytes() for v in range(len(model.vocab))] == rows
+        assert json.dumps(model.to_json(), sort_keys=True) == saved
+        valid.update(features)
+    for feature in ("duplicate", "float", "string", "bool", "count past int64", "overwritten negative"):
+        assert valid[feature] >= 20, (feature, valid)
+    for error in ("MalformedModelError", "UnknownTokenError", "ValueError"):
+        assert errors[error] >= 30, errors
+
+
+def test_from_json_memory_holds_no_per_triple_objects():
+    import tracemalloc
+
+    rng = random.Random(3)
+    size = 5000
+    triples = [[rng.randrange(size), rng.randrange(1, size), rng.randrange(1, 50)] for _ in range(70_000)]
+    obj = {"alpha": 0.5, "vocab": [f"w{i}" for i in range(size - 2)], "counts": triples}
+    tracemalloc.start()
+    try:
+        model = BigramModel.from_json(obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the triples as int64 take 24 bytes each; a {(v, w): c} dict of
+    # tuples on the way peaks at about 180 bytes per triple
+    assert peak < 144 * len(triples)
+    assert len(model.counts) == len({(v, w) for v, w, _ in triples})
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [1, 2],
+        {"alpha": 1.0, "vocab": ["a"]},
+        {"vocab": ["a"], "counts": []},
+        {"alpha": 1.0, "counts": []},
+        {"alpha": 1.0, "vocab": ["a"], "counts": 5},
+        {"alpha": 1.0, "vocab": ["a"], "counts": {"0": [2, 1]}},
+        {"alpha": 1.0, "vocab": ["a"], "counts": [[0, 2]]},
+        {"alpha": 1.0, "vocab": ["a"], "counts": [[0, 2, 1, 1]]},
+        {"alpha": 1.0, "vocab": ["a"], "counts": [[0, 2, 1], [0, 2]]},
+        {"alpha": 1.0, "vocab": ["a"], "counts": [[]]},
+        {"alpha": 1.0, "vocab": ["a"], "counts": ["021"]},
+        {"alpha": 1.0, "vocab": ["a"], "counts": [[0, 2, None]]},
+        {"alpha": 1.0, "vocab": ["a"], "counts": [[0, 2, "2.5"]]},
+        {"alpha": 1.0, "vocab": ["a"], "counts": [[0, 2, [1]]]},
+        {"alpha": 1.0, "vocab": ["a"], "counts": [[0, 2, float("nan")]]},
+        {"alpha": 1.0, "vocab": ["a"], "counts": [[0, 2, float("inf")]]},
+        {"alpha": 1.0, "vocab": ["a"], "counts": [[0, 2, 2**64], [0, 2, None]]},
+        {"alpha": None, "vocab": ["a"], "counts": []},
+        {"alpha": "one", "vocab": ["a"], "counts": []},
+        {"alpha": 1.0, "vocab": "ab", "counts": []},
+        {"alpha": 1.0, "vocab": [1], "counts": []},
+    ],
+)
+def test_malformed_model_files_raise_a_typed_error(obj):
+    with pytest.raises(MalformedModelError):
+        BigramModel.from_json(obj)
 
 
 def test_table_scorer_lookup_and_default(vocab):
