@@ -264,7 +264,7 @@ def _cmd_stats(args: argparse.Namespace, out: TextIO, records: _Records) -> None
 def _cmd_inspect_fsm(args: argparse.Namespace, out: TextIO, records: _Records) -> None:
     groups, k = load_constraints_file(args.constraints)
     with open(args.vocab, "r", encoding="utf-8") as fp:
-        vocab = Vocabulary(json.load(fp))
+        vocab = Vocabulary.from_json(json.load(fp))
     fsm = compile_fsm(groups, k, vocab, PhraseMatchMode(args.mode))
     accepting = fsm.accepting_states()
     out.write(f"{fsm.state_count} states, {len(accepting)} accepting\n")

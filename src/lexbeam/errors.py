@@ -36,6 +36,10 @@ class VocabMismatchError(LexbeamError, ValueError):
     """Scorer and FSM were built against different vocabulary sizes."""
 
 
+class MalformedVocabularyError(LexbeamError, TypeError):
+    """A vocabulary read from JSON is not a list of token strings."""
+
+
 class ScorerContractError(LexbeamError, ValueError):
     """A scorer returned a row of the wrong shape or with NaN scores."""
 
@@ -59,7 +63,9 @@ class MalformedModelError(LexbeamError, TypeError):
 
 
 class DegenerateBoxError(LexbeamError, ValueError):
-    """A bounding box with non-positive width or height."""
+    """A bounding box with non-positive width or height, or whose area is
+    not a positive finite float: an infinite coordinate, or a width x
+    height that overflows or rounds to 0."""
 
 
 class UnknownClassError(LexbeamError, KeyError):
@@ -87,7 +93,8 @@ class MalformedDomainError(LexbeamError, TypeError):
 class MalformedDetectionError(LexbeamError, TypeError):
     """A detection record is not an object whose ``detections`` is a
     list, or a detection is not an object with ``class``, a number
-    ``score`` and a ``box`` list of numbers."""
+    ``score`` and a ``box`` list of numbers, each within the float
+    range."""
 
 
 class MalformedCaptionError(LexbeamError, TypeError):

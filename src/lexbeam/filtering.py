@@ -12,10 +12,13 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import (
     DegenerateBoxError,
@@ -65,7 +68,13 @@ class Detection:
         score, box = obj["score"], obj["box"]
         if not isinstance(box, (list, tuple)) or not all(map(_is_number, [score, *box])):
             raise MalformedDetectionError(f"detection score and box must be numbers, got {score!r} and {box!r}")
-        return cls(class_name=str(obj["class"]), confidence=float(score), box=tuple(float(v) for v in box))
+        try:
+            confidence, coords = float(score), tuple(float(v) for v in box)
+        except OverflowError:  # a JSON integer past the float range
+            raise MalformedDetectionError(
+                f"detection score and box must fit a float, got {score!r:.40} and {box!r:.80}"
+            ) from None
+        return cls(class_name=str(obj["class"]), confidence=confidence, box=coords)
 
 
 def _is_number(value: object) -> bool:
@@ -78,20 +87,38 @@ def _check_box(box: Box) -> None:
     x0, y0, x1, y1 = box
     if not (x0 < x1 and y0 < y1):
         raise DegenerateBoxError(f"box {box!r} has non-positive extent")
+    # An infinite coordinate makes the area infinite; an area that
+    # overflows or rounds to 0 would make an IoU NaN or 0/0.
+    if not 0.0 < (x1 - x0) * (y1 - y0) < math.inf:
+        raise DegenerateBoxError(f"box {box!r} has an area that is not a positive finite number")
+
+
+def _iou_matrix(boxes: np.ndarray) -> np.ndarray:
+    """IoU of every pair of rows of an ``(n, 4)`` float64 array of
+    checked boxes, as ``inter / (area_a + area_b - inter)`` with the
+    intersection extents clipped at 0. Each element takes the same
+    float64 operations as one scalar IoU, so it does not depend on which
+    other boxes share the matrix."""
+    x0, y0, x1, y1 = boxes.T
+    ix = np.maximum(np.minimum.outer(x1, x1) - np.maximum.outer(x0, x0), 0.0)
+    iy = np.maximum(np.minimum.outer(y1, y1) - np.maximum.outer(y0, y0), 0.0)
+    inter = ix * iy
+    area = (x1 - x0) * (y1 - y0)
+    with np.errstate(over="ignore"):  # two finite areas can sum to inf, as in scalar code; the IoU is then 0
+        union = np.add.outer(area, area) - inter
+    return inter / union
 
 
 def iou(a: Box, b: Box) -> float:
     """Intersection over union of two boxes, in [0, 1]."""
     _check_box(a)
     _check_box(b)
-    ix = min(a[2], b[2]) - max(a[0], b[0])
-    iy = min(a[3], b[3]) - max(a[1], b[1])
-    if ix <= 0.0 or iy <= 0.0:
-        return 0.0
-    inter = ix * iy
-    area_a = (a[2] - a[0]) * (a[3] - a[1])
-    area_b = (b[2] - b[0]) * (b[3] - b[1])
-    return inter / (area_a + area_b - inter)
+    return float(_iou_matrix(np.array([a, b], dtype=np.float64))[0, 1])
+
+
+def _check_threshold(iou_threshold: float) -> None:
+    if not 0.0 <= iou_threshold <= 1.0:
+        raise ValueError(f"iou_threshold must lie in [0, 1], got {iou_threshold}")
 
 
 class ClassHierarchy:
@@ -226,22 +253,22 @@ def suppress_overlaps(
     lowest confidence of the removed detection, then earliest position),
     skipping pairs whose other member is already gone. Survivors keep
     their input order. Detections whose class is not in the hierarchy
-    are dropped with a warning.
+    are dropped with a warning. A threshold outside [0, 1] (NaN
+    included) raises ``ValueError``.
     """
+    _check_threshold(iou_threshold)
     work = _drop_unknown(dets, hier)
     # IoU and ancestry never change, so every qualifying pair is scored
     # once and the pairs are applied in the order the removals happen.
+    overlaps = _iou_matrix(np.array([d.box for d in work], dtype=np.float64).reshape(-1, 4))
+    first, second = np.nonzero(np.triu(overlaps >= iou_threshold, 1))
     pairs = []  # (neg_iou, removed_conf, removed, kept)
-    for i in range(len(work)):
-        for j in range(i + 1, len(work)):
-            a, b = work[i], work[j]
-            overlap = iou(a.box, b.box)
-            if overlap < iou_threshold:
-                continue
-            if hier.is_strict_ancestor(a.class_name, b.class_name):
-                pairs.append((-overlap, a.confidence, i, j))
-            elif hier.is_strict_ancestor(b.class_name, a.class_name):
-                pairs.append((-overlap, b.confidence, j, i))
+    for i, j, overlap in zip(first.tolist(), second.tolist(), overlaps[first, second].tolist()):
+        a, b = work[i], work[j]
+        if hier.is_strict_ancestor(a.class_name, b.class_name):
+            pairs.append((-overlap, a.confidence, i, j))
+        elif hier.is_strict_ancestor(b.class_name, a.class_name):
+            pairs.append((-overlap, b.confidence, j, i))
     removed: set[int] = set()
     for _, _, remove, keep in sorted(pairs):
         if remove not in removed and keep not in removed:
@@ -265,10 +292,12 @@ def filter_constraints(
     confidence and keep the ``top_k`` distinct classes; (5) expand each
     class into a :class:`~lexbeam.fsm.ConstraintGroup` over its word
     forms. Detections with classes missing from the hierarchy are
-    dropped with a warning.
+    dropped with a warning. A negative ``top_k`` or an ``iou_threshold``
+    outside [0, 1] raises ``ValueError`` in every mode.
     """
     if top_k < 0:
         raise ValueError(f"top_k must be non-negative, got {top_k}")
+    _check_threshold(iou_threshold)
     mode = FilterMode(mode)
     work = _drop_unknown(dets, hier)
     if mode in (FilterMode.FULL, FilterMode.NO_OVERLAP):

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     EmptyCorpusError,
     MalformedModelError,
+    MalformedVocabularyError,
     NonPositiveAlphaError,
     UnknownTokenError,
 )
@@ -193,10 +194,10 @@ class BigramModel:
     def from_json(cls, obj: dict) -> "BigramModel":
         if not isinstance(obj, dict) or not {"alpha", "vocab", "counts"} <= obj.keys():
             raise MalformedModelError("a model must be a JSON object with alpha, vocab and counts")
-        words = obj["vocab"]
-        if not isinstance(words, list) or not all(isinstance(word, str) for word in words):
-            raise MalformedModelError(f"model vocab must be a list of strings, got {words!r:.80}")
-        vocab = Vocabulary(words)
+        try:
+            vocab = Vocabulary.from_json(obj["vocab"])
+        except MalformedVocabularyError as exc:
+            raise MalformedModelError(f"model {exc}") from None
         columns = _read_counts(obj["counts"])
         try:
             alpha = float(obj["alpha"])

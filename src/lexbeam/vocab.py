@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .errors import UnknownTokenError
+from .errors import MalformedVocabularyError, UnknownTokenError
 
 BOS = "<s>"
 EOS = "</s>"
@@ -37,6 +37,13 @@ class Vocabulary:
         self.bos_id = 0
         self.eos_id = 1
         self._index = index
+
+    @classmethod
+    def from_json(cls, words: object) -> "Vocabulary":
+        """A vocabulary from a JSON array of content-token strings."""
+        if not isinstance(words, list) or not all(isinstance(word, str) for word in words):
+            raise MalformedVocabularyError(f"vocab must be a list of strings, got {words!r:.80}")
+        return cls(words)
 
     def __len__(self) -> int:
         return len(self.tokens)

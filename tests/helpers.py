@@ -1,6 +1,7 @@
 """Shared test oracles, all deliberately independent of the library's
-FSM/beam/sampler/model-reader machinery: plain substring scans,
-exhaustive enumeration, full recounts and a per-triple model reader."""
+FSM/beam/sampler/model-reader/IoU machinery: plain substring scans,
+exhaustive enumeration, full recounts, a per-triple model reader and a
+per-pair overlap suppression."""
 
 from __future__ import annotations
 
@@ -267,3 +268,40 @@ def reference_model_json(obj: dict) -> tuple[list[bytes], str]:
         rows.append(row.tobytes())
     saved = {"alpha": alpha, "vocab": list(obj["vocab"]), "counts": [[v, w, c] for (v, w), c in stored]}
     return rows, json.dumps(saved, sort_keys=True)
+
+
+def reference_iou(a, b) -> float:
+    """The scalar IoU formula: intersection extents, 0 when either is not
+    positive, then ``inter / (area_a + area_b - inter)``."""
+    ix = min(a[2], b[2]) - max(a[0], b[0])
+    iy = min(a[3], b[3]) - max(a[1], b[1])
+    if ix <= 0.0 or iy <= 0.0:
+        return 0.0
+    inter = ix * iy
+    area_a = (a[2] - a[0]) * (a[3] - a[1])
+    area_b = (b[2] - b[0]) * (b[3] - b[1])
+    return inter / (area_a + area_b - inter)
+
+
+def reference_suppress_overlaps(dets, hier, iou_threshold):
+    """Per-pair reference for ``suppress_overlaps``: one scalar IoU per
+    pair of known-class detections, the qualifying hierarchy pairs
+    sorted by (-IoU, removed confidence, removed, kept) and applied one
+    at a time, skipping a pair whose other member is already gone."""
+    work = [det for det in dets if det.class_name in hier]
+    pairs = []
+    for i in range(len(work)):
+        for j in range(i + 1, len(work)):
+            a, b = work[i], work[j]
+            overlap = reference_iou(a.box, b.box)
+            if overlap < iou_threshold:
+                continue
+            if hier.is_strict_ancestor(a.class_name, b.class_name):
+                pairs.append((-overlap, a.confidence, i, j))
+            elif hier.is_strict_ancestor(b.class_name, a.class_name):
+                pairs.append((-overlap, b.confidence, j, i))
+    removed = set()
+    for _, _, remove, keep in sorted(pairs):
+        if remove not in removed and keep not in removed:
+            removed.add(remove)
+    return [det for pos, det in enumerate(work) if pos not in removed]

@@ -503,6 +503,17 @@ def test_inspect_fsm_rejects_string_alternatives(run, tmp_path, alternatives):
     assert json.loads(err)["error"] == "MalformedGroupError"
 
 
+@pytest.mark.parametrize("words", ["abc", 5, ["a", 1], {"a": 1}, None])
+def test_inspect_fsm_rejects_a_vocabulary_that_is_not_a_list_of_strings(run, tmp_path, words):
+    # a string would be iterated as one-letter tokens
+    cpath, vpath = write_fsm_inputs(tmp_path, [("a", ("a",))], 1, words)
+    code, out, err = run("inspect-fsm", "--constraints", cpath, "--vocab", vpath)
+    assert (code, out) == (1, "")
+    payload = json.loads(err)
+    assert payload["error"] == "MalformedVocabularyError"
+    assert "line" not in payload
+
+
 @pytest.mark.parametrize(
     "record",
     [
@@ -581,6 +592,7 @@ def test_errors_outside_any_record_carry_no_line(run, tmp_path):
         {"class": "Dog", "score": "0.9", "box": [0, 0, 1, 1]},
         {"class": "Dog", "score": 0.9, "box": [0, 0, "1", 1]},
         {"class": "Dog", "score": 0.9, "box": 5},
+        {"class": "Dog", "score": 0.9, "box": [0, 0, 10**400, 1]},
         {"score": 0.9, "box": [0, 0, 1, 1]},
         [0.9],
     ],
@@ -594,6 +606,17 @@ def test_filter_rejects_malformed_detections_with_their_line(run, tmp_path, dete
     assert len(out.splitlines()) == 1
     payload = json.loads(err)
     assert (payload["error"], payload["line"]) == ("MalformedDetectionError", 2)
+
+
+@pytest.mark.parametrize("box", [[0, 0, float("inf"), 1], [0, 0, 1e308, 1e308], [0, 0, 1e-200, 1e-200]])
+def test_filter_rejects_boxes_without_a_positive_finite_area(run, tmp_path, box):
+    # such a box made the IoU NaN (counted as an overlap) or 0/0
+    path = tmp_path / "detections.jsonl"
+    path.write_text(json.dumps({"detections": [{"class": c, "score": 0.9, "box": box} for c in ("Dog", "Mammal")]}) + "\n")
+    code, out, err = run("filter", "--mode", "no-class", "--detections", str(path))
+    assert (code, out) == (1, "")
+    payload = json.loads(err)
+    assert (payload["error"], payload["line"]) == ("DegenerateBoxError", 1)
 
 
 @pytest.mark.parametrize("hierarchy", [{"class": "dog", "forms": [["dog"]]}, [[1]], [{"forms": [["dog"]]}]])
@@ -647,6 +670,8 @@ def test_non_object_records_are_typed_errors_with_their_line(run, tmp_path, argv
         (("decode", "--beam-width", "0"), "beam_width must be >= 1"),
         (("decode", "--max-len", "0"), "max_len must be >= 1"),
         (("filter", "--top-k", "-1"), "top_k must be non-negative, got -1"),
+        (("filter", "--mode", "no-class", "--iou-threshold", "nan"), "iou_threshold must lie in [0, 1], got nan"),
+        (("filter", "--mode", "no-overlap", "--iou-threshold", "-1"), "iou_threshold must lie in [0, 1], got -1.0"),
     ],
 )
 @pytest.mark.parametrize("records", ["", "{}\n"])

@@ -1,4 +1,5 @@
 import logging
+import math
 import random
 
 import pytest
@@ -23,6 +24,7 @@ from lexbeam.errors import (
     MalformedHierarchyError,
     UnknownClassError,
 )
+from helpers import reference_iou, reference_suppress_overlaps
 
 
 def det(cls, conf, box):
@@ -73,6 +75,52 @@ def test_iou_rejects_degenerate_boxes():
         iou((0, 0, 0, 1), (0, 0, 1, 1))
     with pytest.raises(DegenerateBoxError):
         iou((0, 0, 1, 1), (2, 2, 2, 2))
+
+
+@pytest.mark.parametrize(
+    "box",
+    [
+        (0, 0, math.inf, 1),
+        (-math.inf, 0, 1, 1),
+        (0, 0, 1, math.nan),
+        (0, 0, 1e308, 1e308),  # width x height overflows
+        (-1e308, 0, 1e308, 1),  # the width itself overflows
+        (0, 0, 1e-200, 1e-200),  # the area rounds to 0
+    ],
+)
+def test_boxes_without_a_positive_finite_area_are_degenerate(box):
+    with pytest.raises(DegenerateBoxError):
+        iou(box, (0, 0, 1, 1))
+    with pytest.raises(DegenerateBoxError):
+        det("Dog", 0.5, box)
+
+
+def random_iou_box(rng, integer):
+    """A box on a coarse grid (so boxes touch, nest and repeat), at a
+    random float position or with integer coordinates below 2**20, whose
+    products stay exact in float64."""
+    if integer:
+        scale = rng.choice([1, 3, 1 << 10])
+        x0, y0 = rng.randint(-4, 8) * scale, rng.randint(-4, 8) * scale
+        return (x0, y0, x0 + rng.randint(1, 6) * scale, y0 + rng.randint(1, 6) * scale)
+    if rng.random() < 0.5:
+        scale = rng.choice([0.25, 0.1, 7.5])
+        x0, y0 = rng.randint(-4, 8) * scale, rng.randint(-4, 8) * scale
+        return (x0, y0, x0 + rng.randint(1, 6) * scale, y0 + rng.randint(1, 6) * scale)
+    x0, y0 = rng.uniform(-50, 50), rng.uniform(-50, 50)
+    return (x0, y0, x0 + rng.uniform(1e-3, 40), y0 + rng.uniform(1e-3, 40))
+
+
+def test_iou_is_the_scalar_formula_bit_for_bit():
+    rng = random.Random(977)
+    pairs = [((-1.0, 0.0, -0.0, 1.0), (0.0, 0.0, 1.0, 1.0)), ((0, 0, 1e154, 1e154), (0, 0, 9e153, 9e153))]
+    for _ in range(5000):
+        integer = rng.random() < 0.3
+        a = random_iou_box(rng, integer)
+        b = random_iou_box(rng, integer) if rng.random() < 0.8 else a
+        pairs.append((a, b))
+    for a, b in pairs:
+        assert iou(a, b).hex() == reference_iou(a, b).hex(), (a, b)
 
 
 def test_detection_validation():
@@ -242,6 +290,76 @@ def test_no_qualifying_pair_survives_suppression(hier):
                     assert not hier.is_strict_ancestor(b.class_name, a.class_name)
 
 
+def test_iou_exactly_at_the_threshold_suppresses(hier):
+    # 17 x 1 inside 20 x 1: the IoU is 17 / 20, the float 0.85 itself
+    dog = det("Dog", 0.9, (0, 0, 17, 1))
+    mammal = det("Mammal", 0.95, (0, 0, 20, 1))
+    assert iou(dog.box, mammal.box) == 0.85
+    assert suppress_overlaps([mammal, dog], hier, iou_threshold=0.85) == [dog]
+    assert suppress_overlaps([mammal, dog], hier, iou_threshold=1.0) == [mammal, dog]
+    twin = det("Mammal", 0.95, (0, 0, 17, 1))
+    assert suppress_overlaps([twin, dog], hier, iou_threshold=1.0) == [dog]
+
+
+def test_touching_boxes_do_not_overlap(hier):
+    dog = det("Dog", 0.9, (0, 0, 1, 1))
+    mammal = det("Mammal", 0.95, (1, 0, 2, 1))
+    assert iou(dog.box, mammal.box) == 0.0
+    assert suppress_overlaps([dog, mammal], hier, iou_threshold=1e-12) == [dog, mammal]
+    assert suppress_overlaps([dog, mammal], hier, iou_threshold=0.0) == [dog]
+
+
+DIFFERENTIAL_CLASSES = [
+    "Animal", "Mammal", "Dog", "Cat", "Bird",
+    "Vehicle", "Land vehicle", "Car", "Truck",
+    "Person", "Man", "Table", "Wombat",
+]
+
+
+def random_detection_record(rng):
+    """Up to 60 detections over ancestor chains (plus a class missing
+    from the hierarchy), with boxes that repeat an earlier box (IoU 1),
+    come as a 20 x h box and a 17 x h box inside it (IoU exactly
+    17 / 20, the float 0.85), touch an earlier box edge to edge
+    (intersection 0), or are fresh; confidences come from a small set,
+    so equal IoUs are broken by confidence. Returns the detections and
+    a threshold of 0, 0.85, 1 or a random one."""
+    integer = rng.random() < 0.3
+    boxes = []
+    for _ in range(rng.randint(0, 60) if rng.random() < 0.25 else rng.randint(0, 10)):
+        kind = rng.random() if boxes else 1.0
+        if kind < 0.2:
+            boxes.append(rng.choice(boxes))
+        elif kind < 0.35:
+            unit = rng.choice([1, 3] if integer else [0.25, 1.0, 4.0])
+            x0, y0, _, y1 = random_iou_box(rng, integer)
+            boxes += [(x0, y0, x0 + 20 * unit, y1), (x0, y0, x0 + 17 * unit, y1)][: rng.randint(1, 2)]
+        elif kind < 0.45:
+            x0, y0, x1, y1 = rng.choice(boxes)
+            boxes.append((x1, y0, x1 + (x1 - x0), y1))
+        else:
+            boxes.append(random_iou_box(rng, integer))
+    rng.shuffle(boxes)
+    dets = [Detection(rng.choice(DIFFERENTIAL_CLASSES), rng.choice([0.5, 0.7, 0.9]), box) for box in boxes]
+    return dets, rng.choice([0.0, 0.85, 0.85, 1.0, rng.random()])
+
+
+def test_suppress_overlaps_matches_the_per_pair_reference(hier, caplog):
+    rng = random.Random(31337)
+    removed = at_threshold = 0
+    with caplog.at_level(logging.ERROR, logger="lexbeam.filtering"):  # unknown-class warnings are expected
+        for _ in range(2000):
+            dets, threshold = random_detection_record(rng)
+            kept = suppress_overlaps(dets, hier, iou_threshold=threshold)
+            expected = reference_suppress_overlaps(dets, hier, threshold)
+            assert list(map(id, kept)) == list(map(id, expected)), (dets, threshold)
+            removed += sum(d.class_name in hier for d in dets) - len(kept)
+            at_threshold += any(
+                reference_iou(a.box, b.box) == threshold > 0 for a in dets for b in dets if a is not b
+            )
+    assert removed > 1000 and at_threshold > 200  # the records do exercise suppression and the threshold edge
+
+
 def test_unknown_class_is_dropped_with_warning(hier, caplog):
     dets = [det("Wombat", 0.9, (0, 0, 1, 1)), det("Dog", 0.8, (5, 5, 6, 6))]
     with caplog.at_level(logging.WARNING, logger="lexbeam.filtering"):
@@ -333,6 +451,18 @@ def test_top_k_validation(hier, blacklist):
         filter_constraints(dets, hier, blacklist, top_k=-1)
 
 
+@pytest.mark.parametrize("mode", list(FilterMode))
+def test_iou_threshold_validation(hier, blacklist, mode):
+    dets = [det("Dog", 0.9, (0, 0, 1, 1)), det("Mammal", 0.8, (5, 5, 6, 6))]
+    for threshold in (0, 0.0, 0.5, 1, 1.0):
+        filter_constraints(dets, hier, blacklist, mode, iou_threshold=threshold)
+    for threshold in (math.nan, -1.0, -1e-12, 1.0 + 1e-12, math.inf):
+        with pytest.raises(ValueError, match="iou_threshold"):
+            filter_constraints(dets, hier, blacklist, mode, iou_threshold=threshold)
+        with pytest.raises(ValueError, match="iou_threshold"):
+            suppress_overlaps(dets, hier, iou_threshold=threshold)
+
+
 def test_detection_record_schema():
     d = Detection.from_json({"class": "Dog", "score": 0.93, "box": [1, 2, 3, 4]})
     assert d.class_name == "Dog"
@@ -350,6 +480,8 @@ def test_detection_record_schema():
         {"class": "Dog", "score": True, "box": [1, 2, 3, 4]},
         {"class": "Dog", "score": 0.93, "box": [1, 2, None, 4]},
         {"class": "Dog", "score": 0.93, "box": "1234"},
+        {"class": "Dog", "score": 0.93, "box": [0, 0, 10**400, 1]},
+        {"class": "Dog", "score": 10**400, "box": [0, 0, 1, 1]},
         "Dog",
     ],
 )
