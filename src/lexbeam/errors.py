@@ -8,6 +8,10 @@ callers (and the CLI) can distinguish user errors from genuine bugs.
 class LexbeamError(Exception):
     """Base class for all input/contract errors raised by this package."""
 
+    def __str__(self) -> str:
+        # the message as given: KeyError's own __str__ would print its repr
+        return Exception.__str__(self)
+
 
 class UnknownTokenError(LexbeamError, KeyError):
     """A token string or id does not resolve against the vocabulary."""
@@ -86,8 +90,22 @@ class MalformedImageError(LexbeamError, TypeError):
     of class-name strings."""
 
 
+class MissingFieldError(LexbeamError, KeyError):
+    """A record lacks a required key: an image record's ``image_id`` or
+    ``classes``, or a domain spec's ``in_domain`` or ``out_of_domain``."""
+
+
+class UnknownRotationError(LexbeamError, ValueError):
+    """An image record's ``rotation`` is not one of the strings ``zero``,
+    ``nonzero`` and ``unknown``."""
+
+
 class MalformedDomainError(LexbeamError, TypeError):
     """A domain spec's class set is not a list of class-name strings."""
+
+
+class OverlappingDomainsError(LexbeamError, ValueError):
+    """A class is listed in more than one of a domain spec's sets."""
 
 
 class MalformedDetectionError(LexbeamError, TypeError):
@@ -100,6 +118,11 @@ class MalformedDetectionError(LexbeamError, TypeError):
 class MalformedCaptionError(LexbeamError, TypeError):
     """A caption record is not an object, or its caption is neither a
     string nor a list of JSON scalar tokens."""
+
+
+class NonPositiveCountError(LexbeamError, ValueError):
+    """A count argument that must be at least 1 is not: ``sample``'s
+    ``n_candidates`` or ``ngram_stats``'s ``n_max``."""
 
 
 class TargetTooSmallError(LexbeamError, ValueError):

@@ -29,7 +29,11 @@ from .errors import (
     EmptyPoolsError,
     MalformedDomainError,
     MalformedImageError,
+    MissingFieldError,
+    NonPositiveCountError,
+    OverlappingDomainsError,
     TargetTooSmallError,
+    UnknownRotationError,
 )
 
 AUTO_INCLUDE_MIN_CLASSES = 7  # more than 6 unique classes
@@ -40,6 +44,9 @@ class Rotation(str, Enum):
     ZERO = "zero"
     NONZERO = "nonzero"
     UNKNOWN = "unknown"
+
+
+_ROTATIONS = {rotation.value: rotation for rotation in Rotation}
 
 
 class Domain(str, Enum):
@@ -61,24 +68,30 @@ class ImageRecord:
     def from_json(cls, obj: dict) -> "ImageRecord":
         if not isinstance(obj, dict):
             raise MalformedImageError(f"an image record must be a JSON object, got {obj!r}")
-        return cls(
-            image_id=str(obj["image_id"]),
-            classes=_class_set(obj),
-            rotation=Rotation(obj.get("rotation", "zero")),
-        )
+        try:
+            image_id, classes = str(obj["image_id"]), obj["classes"]
+        except KeyError as exc:
+            raise MissingFieldError(f"an image record has no {exc.args[0]!r}") from None
+        rotation = obj.get("rotation", "zero")
+        try:
+            rotation = _ROTATIONS[rotation]
+        except (KeyError, TypeError):  # TypeError: unhashable JSON (a list or an object)
+            raise UnknownRotationError(
+                f"image {image_id!r}: rotation must be one of {list(_ROTATIONS)}, got {rotation!r}"
+            ) from None
+        return cls(image_id, _class_set(image_id, classes), rotation)
 
 
-def _class_set(obj: dict) -> frozenset[str]:
+def _class_set(image_id: str, classes) -> frozenset[str]:
     """An image record's ``classes`` as interned strings, so the many
     images naming one class share one string. Anything but a list of
     strings is refused; a string would read as one class per letter."""
-    classes = obj["classes"]
     if isinstance(classes, list):
         try:
             return frozenset(map(sys.intern, classes))  # sys.intern takes only str
         except TypeError:
             pass
-    raise MalformedImageError(f"image {obj.get('image_id')!r}: classes must be a list of strings, got {classes!r}")
+    raise MalformedImageError(f"image {image_id!r}: classes must be a list of strings, got {classes!r}")
 
 
 @dataclass(frozen=True)
@@ -96,11 +109,14 @@ class DomainSpec:
             | (self.out_of_domain & self.ignored)
         )
         if overlaps:
-            raise ValueError(f"domain sets overlap on {sorted(overlaps)!r}")
+            raise OverlappingDomainsError(f"domain sets overlap on {sorted(overlaps)!r}")
 
     @classmethod
     def from_json(cls, obj: dict) -> "DomainSpec":
-        sets = {key: obj[key] for key in ("in_domain", "out_of_domain")}
+        try:
+            sets = {key: obj[key] for key in ("in_domain", "out_of_domain")}
+        except KeyError as exc:
+            raise MissingFieldError(f"a domain spec has no {exc.args[0]!r}") from None
         sets["ignored"] = obj.get("ignored", [])
         for key, classes in sets.items():
             if not isinstance(classes, list) or not all(isinstance(c, str) for c in classes):
@@ -193,16 +209,31 @@ _UNIT_ROUNDOFF = 2.0**-53
 _SLACK = 4
 
 
+def _count(counts: dict[str, int], gains: list[float], classes: frozenset[str]) -> None:
+    """Count one selected image's classes, in sorted order so that the
+    order of ``counts`` never follows the hash seed, and grow ``gains``
+    (``gains[n] == _gain(n)``) to cover every count."""
+    for c in sorted(classes):
+        n = counts[c] = counts.get(c, 0) + 1
+        if n == len(gains):
+            gains.append(_gain(n))
+
+
 def _choose(
-    counts: dict[str, int], total: int, size: int, drawn: Iterable[tuple[int, ImageRecord]]
+    counts: dict[str, int],
+    gains: list[float],
+    total: int,
+    size: int,
+    drawn: Iterable[tuple[int, ImageRecord]],
 ) -> tuple[int, ImageRecord]:
     """The drawn (index, image) pair whose ``size`` classes, added to
     ``counts`` (summing to ``total``), give the highest class_entropy;
-    ties go to the smallest image_id, then the smallest draw index."""
+    ties go to the smallest image_id, then the smallest draw index.
+    ``gains`` holds ``_gain(n)`` for every count ``n`` in ``counts``."""
     scored = []
     for at, img in drawn:
         pre = tuple(sorted(counts.get(c, 0) for c in img.classes))
-        scored.append((sum(map(_gain, pre)), pre, at, img))
+        scored.append((sum(map(gains.__getitem__, pre)), pre, at, img))
     n_classes, new_total = len(counts) + size, total + size  # K (at most) and T after the merge
     e = _UNIT_ROUNDOFF * ((n_classes + 3) * math.log(n_classes) + 1)
     window = _SLACK * (2 * new_total * e + 2 * 12 * size * _UNIT_ROUNDOFF * (math.log(new_total) + 1))
@@ -243,10 +274,15 @@ def sample(
     Candidates whose rise is within a rounding-error bound of the best,
     with different pre-counts, are re-scored with :func:`class_entropy`
     over the merged counts, so the choice is the one a full entropy
-    recount per candidate would make, bit for bit.
+    recount per candidate would make, bit for bit. The rises come from a
+    table of ``_gain(n)``, grown with the largest count, so its length
+    is bounded by the number of images selected.
+
+    ``class_counts`` lists each class where it first appears, counting
+    each image's classes in sorted order.
     """
     if n_candidates < 1:
-        raise ValueError("n_candidates must be >= 1")
+        raise NonPositiveCountError("n_candidates must be >= 1")
     if target_count < len(auto_include):
         raise TargetTooSmallError(
             f"target {target_count} below auto-include size {len(auto_include)}"
@@ -255,11 +291,11 @@ def sample(
         raise EmptyPoolsError("no eligible images to sample from")
 
     counts: dict[str, int] = {}
+    gains = [_gain(0)]
     selected: list[str] = []
     for img in auto_include:
         selected.append(img.image_id)
-        for c in img.classes:
-            counts[c] = counts.get(c, 0) + 1
+        _count(counts, gains, img.classes)
     total = sum(counts.values())
 
     pools: dict[int, list[ImageRecord]] = {k: [] for k in POOL_KEYS}
@@ -284,11 +320,10 @@ def sample(
                 continue
             indices = rng.sample(range(len(pool)), min(n_candidates, len(pool)))
             candidates = [pool[i] for i in indices]
-            chosen_at, chosen = _choose(counts, total, key, zip(indices, candidates))
+            chosen_at, chosen = _choose(counts, gains, total, key, zip(indices, candidates))
             pool.pop(chosen_at)
             selected.append(chosen.image_id)
-            for c in chosen.classes:
-                counts[c] = counts.get(c, 0) + 1
+            _count(counts, gains, chosen.classes)
             total += key
             state.trace.append(
                 SampleStep(
@@ -321,12 +356,16 @@ def classify_domain(image: ImageRecord, spec: DomainSpec) -> Domain:
     return Domain.NEAR_DOMAIN
 
 
-_PUNCT_TABLE = str.maketrans({ch: " " for ch in string.punctuation})
+# One entry per ASCII ordinal, so no ASCII character misses the table.
+# str.translate keeps a character past the table's end as it is, since
+# the IndexError of that lookup is a LookupError.
+_PUNCT_TABLE = "".join(" " if chr(i) in string.punctuation else chr(i) for i in range(128))
 
 
 def tokenize(text: str) -> list[str]:
-    """Caption tokenization for n-gram statistics: lowercase, punctuation
-    to spaces, split on whitespace. Tokens are interned, so repeats of a
+    """Caption tokenization for n-gram statistics: lowercase, ASCII
+    punctuation (``string.punctuation``) to spaces, split on whitespace;
+    every other character is kept. Tokens are interned, so repeats of a
     word share one string."""
     return list(map(sys.intern, text.lower().translate(_PUNCT_TABLE).split()))
 
@@ -343,7 +382,7 @@ def ngram_stats(
     overflows. n-grams that span a caption end get code -1.
     """
     if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+        raise NonPositiveCountError("n_max must be >= 1")
     ids: dict[Hashable, int] = {}
 
     def stream():

@@ -427,6 +427,14 @@ def test_stats_rejects_captions_that_are_not_strings_or_scalar_lists(run, tmp_pa
     assert json.loads(err)["error"] == "MalformedCaptionError"
 
 
+def test_stats_rejects_a_nonpositive_n_max(run, tmp_path):
+    path = tmp_path / "captions.jsonl"
+    path.write_text(json.dumps({"caption": "a dog"}) + "\n")
+    code, out, err = run("stats", "--captions", str(path), "--n-max", "0")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "NonPositiveCountError", "message": "n_max must be >= 1"}
+
+
 @pytest.mark.parametrize("n_max", [4, 6])
 def test_stats_stdout_matches_frozen_golden(run, n_max):
     # 400 seeded captions with punctuation, case, repeated phrases, a few
@@ -576,7 +584,7 @@ def test_errors_outside_any_record_carry_no_line(run, tmp_path):
     # the candidate count is checked after every image is read
     code, out, err = run("sample", "--images", images_jsonl(tmp_path), "--target", "3", "--candidates", "0", "--seed", "0")
     assert (code, out) == (1, "")
-    assert json.loads(err) == {"error": "ValueError", "message": "n_candidates must be >= 1"}
+    assert json.loads(err) == {"error": "NonPositiveCountError", "message": "n_candidates must be >= 1"}
     model = tmp_path / "model.json"
     model.write_text(json.dumps({"alpha": 1.0, "vocab": ["a"], "counts": [[0, 9, 1]]}))
     code, out, err = run("decode", "--scorer", str(model), "--constraints", str(model))
@@ -652,6 +660,13 @@ def test_filter_rejects_hierarchy_forms_that_are_not_lists_of_strings(run, tmp_p
         (("stats", "--captions"), [1], "MalformedCaptionError"),
         (("stats", "--captions"), ["a", "dog"], "MalformedCaptionError"),
         (("sample", "--target", "1", "--candidates", "1", "--seed", "0", "--images"), [1], "MalformedImageError"),
+        (("sample", "--target", "1", "--candidates", "1", "--seed", "0", "--images"), {"classes": ["a", "b"]}, "MissingFieldError"),
+        (("sample", "--target", "1", "--candidates", "1", "--seed", "0", "--images"), {"image_id": "i1"}, "MissingFieldError"),
+        (
+            ("sample", "--target", "1", "--candidates", "1", "--seed", "0", "--images"),
+            {"image_id": "i1", "classes": ["a", "b"], "rotation": "sideways"},
+            "UnknownRotationError",
+        ),
     ],
 )
 def test_non_object_records_are_typed_errors_with_their_line(run, tmp_path, argv, record, error):

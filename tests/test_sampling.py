@@ -1,6 +1,12 @@
 import math
+import os
 import random
+import string
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,9 +26,14 @@ from lexbeam import (
 from lexbeam.errors import (
     AllClassesIgnoredError,
     EmptyPoolsError,
+    LexbeamError,
     MalformedDomainError,
     MalformedImageError,
+    MissingFieldError,
+    NonPositiveCountError,
+    OverlappingDomainsError,
     TargetTooSmallError,
+    UnknownRotationError,
 )
 
 from helpers import reference_entropy, reference_sample
@@ -131,6 +142,33 @@ def test_class_counts_match_recount():
         for c in by_id[image_id].classes:
             recount[c] = recount.get(c, 0) + 1
     assert state.class_counts == recount
+
+
+HASH_SEED_SCRIPT = """
+import random
+from lexbeam import exclude, sample
+from lexbeam.sampling import ImageRecord
+
+rng = random.Random(3)
+classes = [f"class{i}" for i in range(40)]
+images = [ImageRecord(f"im{i:03d}", frozenset(rng.sample(classes, rng.randint(2, 9)))) for i in range(300)]
+eligible, auto = exclude(images)
+print(list(sample(eligible, auto, len(auto) + 60, 4, 7).class_counts.items()))
+"""
+
+
+def test_class_counts_order_does_not_follow_the_hash_seed():
+    src = str(Path(sampling.__file__).resolve().parents[1])
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", HASH_SEED_SCRIPT],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("class") > 20
 
 
 def replay_and_check_argmax(images, state):
@@ -266,6 +304,37 @@ def test_sample_matches_the_reference_on_near_ties(monkeypatch):
     assert rescored
 
 
+def test_gain_table_is_gain_bit_for_bit_and_covers_every_count(monkeypatch):
+    tables = []
+    choose = sampling._choose
+
+    def spy(counts, gains, *rest):
+        assert len(gains) > max(counts.values(), default=0)
+        tables.append(gains)
+        return choose(counts, gains, *rest)
+
+    monkeypatch.setattr(sampling, "_choose", spy)
+    eligible, auto = exclude(fixture_images(300, seed=5))
+    state = sample(eligible, auto, target_count=200, n_candidates=4, seed=3)
+    gains = tables[-1]
+    assert all(table is gains for table in tables)  # one table per call, grown in place
+    assert [g.hex() for g in gains] == [sampling._gain(n).hex() for n in range(len(gains))]
+    assert max(state.class_counts.values()) > 100
+    assert len(gains) <= len(state.selected) + 1
+
+
+def test_gain_table_is_bounded_by_the_selection_not_the_target():
+    eligible = [img(f"e{i}", ["a", f"b{i}"]) for i in range(10)]
+    tracemalloc.start()
+    try:
+        state = sample(eligible, [], target_count=10**12, n_candidates=3, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(state.selected) == 10
+    assert peak < 1 << 20
+
+
 def exp_gain(pre_counts):
     """exp of the exact rise in sum(c ln c) when each count grows by one."""
     return math.prod(Fraction((n + 1) ** (n + 1), n**n) for n in pre_counts)
@@ -352,8 +421,9 @@ def test_domain_partition_is_total():
 
 
 def test_domain_spec_must_be_disjoint():
-    with pytest.raises(ValueError):
+    with pytest.raises(OverlappingDomainsError):
         DomainSpec(frozenset({"a"}), frozenset({"a"}))
+    assert issubclass(OverlappingDomainsError, LexbeamError) and issubclass(OverlappingDomainsError, ValueError)
 
 
 @pytest.mark.parametrize("key", ["in_domain", "out_of_domain", "ignored"])
@@ -380,6 +450,34 @@ def test_record_json_schemas():
         {"image_id": "i2", "classes": ["a"], "rotation": "unknown"}
     )
     assert rec.rotation is Rotation.UNKNOWN
+
+
+@pytest.mark.parametrize("key", ["in_domain", "out_of_domain"])
+def test_domain_spec_keys_are_required(key):
+    obj = {"in_domain": ["cat"], "out_of_domain": ["cow"]}
+    del obj[key]
+    with pytest.raises(MissingFieldError, match=key):
+        DomainSpec.from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "obj, error, base",
+    [
+        ({"classes": ["a", "b"]}, MissingFieldError, KeyError),
+        ({"image_id": "i1"}, MissingFieldError, KeyError),
+        ({"image_id": "i1", "classes": ["a", "b"], "rotation": "sideways"}, UnknownRotationError, ValueError),
+        ({"image_id": "i1", "classes": ["a", "b"], "rotation": "ZERO"}, UnknownRotationError, ValueError),
+        ({"image_id": "i1", "classes": ["a", "b"], "rotation": 0}, UnknownRotationError, ValueError),
+        ({"image_id": "i1", "classes": ["a", "b"], "rotation": None}, UnknownRotationError, ValueError),
+        ({"image_id": "i1", "classes": ["a", "b"], "rotation": ["zero"]}, UnknownRotationError, ValueError),
+    ],
+)
+def test_malformed_image_fields_are_typed_errors(obj, error, base):
+    with pytest.raises(error) as info:
+        ImageRecord.from_json(obj)
+    assert isinstance(info.value, LexbeamError)
+    assert isinstance(info.value, base)
+    assert str(info.value).startswith(("an image record has no", "image 'i1': rotation"))
 
 
 @pytest.mark.parametrize("classes", ["dog", 5, None, ["dog", 5], {"dog": 1}])
@@ -459,10 +557,35 @@ def test_ngram_counts_monotone_under_corpus_growth():
 
 
 def test_ngram_rejects_nonpositive_n_max():
-    with pytest.raises(ValueError):
+    with pytest.raises(NonPositiveCountError):
         ngram_stats([["a"]], n_max=0)
+
+
+def test_sample_rejects_nonpositive_n_candidates():
+    with pytest.raises(NonPositiveCountError):
+        sample([img("x", ["a", "b"])], [], target_count=1, n_candidates=0, seed=0)
+    assert issubclass(NonPositiveCountError, LexbeamError) and issubclass(NonPositiveCountError, ValueError)
 
 
 def test_tokenize_lowercases_and_strips_punctuation():
     assert tokenize("A dog, chasing the ball!") == ["a", "dog", "chasing", "the", "ball"]
     assert tokenize("one-two  three's") == ["one", "two", "three", "s"]
+
+
+# Every ASCII character, then non-ASCII punctuation, spaces and letters
+# whose lowercase or whitespace status differs from ASCII's.
+TOKENIZE_ALPHABET = [chr(i) for i in range(128)] + list("\u2014\u201c\uff0c\xa0\u2009\u3000\x85\u0130\u03a3\xdf")
+
+
+def test_tokenize_matches_the_per_punctuation_dict_reference():
+    punct = str.maketrans({ch: " " for ch in string.punctuation})
+    rng = random.Random(2019)
+    seen: dict[str, str] = {}
+    for case in range(5000):
+        text = "".join(rng.choices(TOKENIZE_ALPHABET, k=rng.randint(0, 40)))
+        want = list(map(sys.intern, text.lower().translate(punct).split()))
+        got = tokenize(text)
+        assert got == want, repr(text)
+        for tok in got:
+            assert seen.setdefault(tok, tok) is tok, repr(text)  # repeats share one string
+    assert len(seen) > 1000
