@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoHypothesisError, ScorerContractError, VocabMismatchError
+from .errors import NoHypothesisError, NonPositiveCountError, ScorerContractError, VocabMismatchError
 from .fsm import ConstraintFSM, compile_fsm
 from .scorers import Scorer
 
@@ -87,9 +87,9 @@ class DecodeConfig:
 
     def __post_init__(self):
         if self.beam_width < 1:
-            raise ValueError("beam_width must be >= 1")
+            raise NonPositiveCountError("beam_width must be >= 1")
         if self.max_len < 1:
-            raise ValueError("max_len must be >= 1")
+            raise NonPositiveCountError("max_len must be >= 1")
 
 
 @dataclass(frozen=True, slots=True)

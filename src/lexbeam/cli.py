@@ -25,7 +25,7 @@ from typing import Iterator, Sequence, TextIO
 
 from . import __version__
 from .beam import DecodeConfig, decode
-from .errors import LexbeamError, MalformedCaptionError, MalformedDetectionError
+from .errors import DuplicateImageError, LexbeamError, MalformedCaptionError, MalformedDetectionError
 from .filtering import (
     DEFAULT_IOU_THRESHOLD,
     DEFAULT_TOP_K,
@@ -239,7 +239,13 @@ def _cmd_filter(args: argparse.Namespace, out: TextIO, records: _Records) -> Non
 
 
 def _cmd_sample(args: argparse.Namespace, out: TextIO, records: _Records) -> None:
-    images = [ImageRecord.from_json(obj) for obj in records(args.images)]
+    images, seen = [], set()
+    for obj in records(args.images):
+        image = ImageRecord.from_json(obj)
+        if image.image_id in seen:
+            raise DuplicateImageError(f"image id {image.image_id!r} occurs twice")
+        seen.add(image.image_id)
+        images.append(image)
     eligible, auto_include = exclude(images)
     state = sample(eligible, auto_include, args.target, args.candidates, args.seed)
     for image_id in state.selected:
@@ -306,7 +312,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     records = _Records()
     try:
         _COMMANDS[args.subcommand](args, sys.stdout, records)
-    except (LexbeamError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (LexbeamError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         _emit_error(type(exc).__name__, str(exc), records.line)
         return 1
     except Exception as exc:  # pragma: no cover - internal invariant violations

@@ -32,6 +32,15 @@ class TooManyGroupsError(LexbeamError, ValueError):
     """More constraint groups than the satisfaction-mask width allows."""
 
 
+class QuotaRangeError(LexbeamError, ValueError):
+    """A ``min_satisfied`` quota below 0 or above the number of groups."""
+
+
+class FSMTooLargeError(LexbeamError, ValueError):
+    """A constraint machine's transition table would exceed
+    :data:`~lexbeam.fsm.MAX_TABLE_BYTES`; checked before it is built."""
+
+
 class OutOfRangeError(LexbeamError, IndexError):
     """A state or token id outside the machine's range."""
 
@@ -42,6 +51,10 @@ class VocabMismatchError(LexbeamError, ValueError):
 
 class MalformedVocabularyError(LexbeamError, TypeError):
     """A vocabulary read from JSON is not a list of token strings."""
+
+
+class DuplicateTokenError(LexbeamError, ValueError):
+    """A vocabulary lists a token twice, or lists a sentinel."""
 
 
 class ScorerContractError(LexbeamError, ValueError):
@@ -60,6 +73,10 @@ class NonPositiveAlphaError(LexbeamError, ValueError):
     """Smoothing constant must be strictly positive."""
 
 
+class NegativeBigramCountError(LexbeamError, ValueError):
+    """A bigram model holds a negative count for some token pair."""
+
+
 class MalformedModelError(LexbeamError, TypeError):
     """A bigram model file is not an object with ``alpha``, ``vocab`` and
     ``counts``, its ``counts`` is not a list of ``[v, w, c]`` triples, or
@@ -70,6 +87,14 @@ class DegenerateBoxError(LexbeamError, ValueError):
     """A bounding box with non-positive width or height, or whose area is
     not a positive finite float: an infinite coordinate, or a width x
     height that overflows or rounds to 0."""
+
+
+class ConfidenceRangeError(LexbeamError, ValueError):
+    """A detection confidence outside [0, 1]."""
+
+
+class FilterOptionError(LexbeamError, ValueError):
+    """A negative ``top_k``, or an ``iou_threshold`` outside [0, 1]."""
 
 
 class UnknownClassError(LexbeamError, KeyError):
@@ -86,8 +111,12 @@ class InvalidHierarchyError(LexbeamError, ValueError):
 
 
 class MalformedImageError(LexbeamError, TypeError):
-    """An image record is not an object, or its ``classes`` is not a list
-    of class-name strings."""
+    """An image record is not an object, its ``image_id`` is not a
+    string, or its ``classes`` is not a list of class-name strings."""
+
+
+class DuplicateImageError(LexbeamError, ValueError):
+    """An image id occurs on more than one image record."""
 
 
 class MissingFieldError(LexbeamError, KeyError):
@@ -122,7 +151,8 @@ class MalformedCaptionError(LexbeamError, TypeError):
 
 class NonPositiveCountError(LexbeamError, ValueError):
     """A count argument that must be at least 1 is not: ``sample``'s
-    ``n_candidates`` or ``ngram_stats``'s ``n_max``."""
+    ``n_candidates``, ``ngram_stats``'s ``n_max``, or a decode's
+    ``beam_width`` or ``max_len``."""
 
 
 class TargetTooSmallError(LexbeamError, ValueError):

@@ -21,7 +21,9 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import (
+    ConfidenceRangeError,
     DegenerateBoxError,
+    FilterOptionError,
     InvalidHierarchyError,
     MalformedDetectionError,
     MalformedHierarchyError,
@@ -59,7 +61,7 @@ class Detection:
     def __post_init__(self):
         _check_box(self.box)
         if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence {self.confidence} outside [0, 1]")
+            raise ConfidenceRangeError(f"confidence {self.confidence} outside [0, 1]")
 
     @classmethod
     def from_json(cls, obj: dict) -> "Detection":
@@ -118,7 +120,7 @@ def iou(a: Box, b: Box) -> float:
 
 def _check_threshold(iou_threshold: float) -> None:
     if not 0.0 <= iou_threshold <= 1.0:
-        raise ValueError(f"iou_threshold must lie in [0, 1], got {iou_threshold}")
+        raise FilterOptionError(f"iou_threshold must lie in [0, 1], got {iou_threshold}")
 
 
 class ClassHierarchy:
@@ -254,7 +256,7 @@ def suppress_overlaps(
     skipping pairs whose other member is already gone. Survivors keep
     their input order. Detections whose class is not in the hierarchy
     are dropped with a warning. A threshold outside [0, 1] (NaN
-    included) raises ``ValueError``.
+    included) raises :class:`FilterOptionError`.
     """
     _check_threshold(iou_threshold)
     work = _drop_unknown(dets, hier)
@@ -293,10 +295,10 @@ def filter_constraints(
     class into a :class:`~lexbeam.fsm.ConstraintGroup` over its word
     forms. Detections with classes missing from the hierarchy are
     dropped with a warning. A negative ``top_k`` or an ``iou_threshold``
-    outside [0, 1] raises ``ValueError`` in every mode.
+    outside [0, 1] raises :class:`FilterOptionError` in every mode.
     """
     if top_k < 0:
-        raise ValueError(f"top_k must be non-negative, got {top_k}")
+        raise FilterOptionError(f"top_k must be non-negative, got {top_k}")
     _check_threshold(iou_threshold)
     mode = FilterMode(mode)
     work = _drop_unknown(dets, hier)

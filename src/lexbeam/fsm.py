@@ -19,6 +19,14 @@ mask state where its group is still unsatisfied. With three single-word
 groups the machine therefore has exactly 8 states, and a two-word or
 three-word alternative adds exactly 4 or 8 states respectively.
 
+Progress ids are ordered by mask, group, alternative (sorted by token
+ids) and matched length ``p``. With ``R[g]`` the sum of ``L - 1`` over
+group ``g``'s alternatives and ``free[m, g]`` true when bit ``g`` of
+``m`` is clear, the state of mask ``m``, group ``g`` and alternative
+``a`` has id ``first[m, g] + sum(L_b - 1 for b < a) + p - 1``, where
+``first[m, g] = base[m] + sum(free[m, h] * R[h] for h < g)`` and
+``base[m] = 2**n + sum(free[l, h] * R[h] for l < m, all h)``.
+
 Phrase mismatch semantics
 -------------------------
 Two transition semantics are provided (:class:`PhraseMatchMode`):
@@ -58,13 +66,18 @@ import numpy as np
 
 from .errors import (
     EmptyGroupError,
+    FSMTooLargeError,
     MalformedGroupError,
     OutOfRangeError,
+    QuotaRangeError,
     TooManyGroupsError,
 )
 from .vocab import Vocabulary
 
 MAX_GROUPS = 16
+# Admits every 16-group machine of one word and one two-word phrase per
+# group: 589 824 states x 49 columns, a 110 MiB table.
+MAX_TABLE_BYTES = 1 << 28
 
 
 class PhraseMatchMode(str, Enum):
@@ -155,11 +168,11 @@ class ConstraintFSM:
         "tokens",
         "table",
         "columns",
-        "state_labels",
         "min_satisfied",
         "n_groups",
         "mode",
         "_popcounts",
+        "_progress",
     )
 
     def __init__(
@@ -167,18 +180,18 @@ class ConstraintFSM:
         tokens: np.ndarray,
         table: np.ndarray,
         vocab_size: int,
-        state_labels: tuple[tuple, ...],
+        progress: np.ndarray,
         min_satisfied: int,
         n_groups: int,
         mode: PhraseMatchMode,
     ):
         columns = np.full(vocab_size, len(tokens), dtype=np.int32)
         columns[tokens] = np.arange(len(tokens))
-        pop = np.array([int(m).bit_count() for m in table[:, -1]], dtype=np.int64)
-        for array in (tokens, table, columns, pop):
+        pop = np.array([m.bit_count() for m in range(1 << n_groups)], dtype=np.int64)[table[:, -1]]
+        for array in (tokens, table, columns, pop, progress):
             array.flags.writeable = False
         self.tokens, self.table, self.columns, self._popcounts = tokens, table, columns, pop
-        self.state_labels = state_labels
+        self._progress = progress  # (group, alt, matched) per state; matched 0 on mask states
         self.min_satisfied = min_satisfied
         self.n_groups = n_groups
         self.mode = mode
@@ -247,15 +260,9 @@ class ConstraintFSM:
         )
 
     def describe_state(self, state: int) -> str:
-        self._check_state(state)
-        label = self.state_labels[state]
-        mask = label[0]
-        bits = format(mask, f"0{max(self.n_groups, 1)}b")
-        if len(label) == 1:
-            progress = "-"
-        else:
-            _, g, ai, pos = label
-            progress = f"group={g} alt={ai} matched={pos}"
+        bits = format(self.satisfied_mask(state), f"0{max(self.n_groups, 1)}b")
+        g, ai, pos = self._progress[state].tolist()
+        progress = f"group={g} alt={ai} matched={pos}" if pos else "-"
         flag = " accepting" if self.accepting(state) else ""
         return f"state {state}: mask={bits} satisfied={self.satisfied_count(state)} progress={progress}{flag}"
 
@@ -264,16 +271,6 @@ class ConstraintFSM:
             f"ConstraintFSM(states={self.state_count}, groups={self.n_groups}, "
             f"min_satisfied={self.min_satisfied}, mode={self.mode.value})"
         )
-
-
-def _resolve_groups(
-    groups: Sequence[ConstraintGroup], vocab: Vocabulary
-) -> list[tuple[tuple[int, ...], ...]]:
-    resolved = []
-    for group in groups:
-        alts = sorted({vocab.ids(alt) for alt in group.alternatives})
-        resolved.append(tuple(alts))
-    return resolved
 
 
 def compile_fsm(
@@ -298,26 +295,35 @@ def compile_fsm(
         Every token string in every alternative must resolve here.
     mode:
         Phrase mismatch semantics, see :class:`PhraseMatchMode`.
+
+    Raises :class:`FSMTooLargeError`, before building anything, when the
+    table would exceed :data:`MAX_TABLE_BYTES`.
     """
     n = len(groups)
     if n > MAX_GROUPS:
         raise TooManyGroupsError(f"{n} groups exceed the mask width ({MAX_GROUPS})")
     if not 0 <= min_satisfied <= n:
-        raise ValueError(f"min_satisfied={min_satisfied} outside [0, {n}]")
+        raise QuotaRangeError(f"min_satisfied={min_satisfied} outside [0, {n}]")
     mode = PhraseMatchMode(mode)
-    alt_ids = _resolve_groups(groups, vocab)
-
+    alt_ids = [sorted({vocab.ids(alt) for alt in group.alternatives}) for group in groups]
+    tokens = sorted({t for alts in alt_ids for alt in alts for t in alt})
+    offsets = [np.cumsum([0] + [len(alt) - 1 for alt in alts]) for alts in alt_ids]
+    runs = np.array([off[-1] for off in offsets], dtype=np.int64)
     n_masks = 1 << n
-    state_labels: list[tuple] = [(m,) for m in range(n_masks)]
-    progress_ids: dict[tuple[int, int, int, int], int] = {}
-    for m in range(n_masks):
-        for g in range(n):
-            if m >> g & 1:
-                continue
-            for ai, alt in enumerate(alt_ids[g]):
-                for pos in range(1, len(alt)):
-                    progress_ids[(m, g, ai, pos)] = len(state_labels)
-                    state_labels.append((m, g, ai, pos))
+    n_states = n_masks + (n_masks >> 1) * int(runs.sum())
+    n_bytes = n_states * (len(tokens) + 1) * 4
+    if n_bytes > MAX_TABLE_BYTES:
+        raise FSMTooLargeError(
+            f"{n_states} states x {len(tokens) + 1} columns need {n_bytes} bytes, over {MAX_TABLE_BYTES}"
+        )
+
+    masks = np.arange(n_masks)
+    free = (masks[:, None] >> np.arange(n) & 1) == 0
+    sizes = free * runs
+    base = n_masks + np.cumsum(sizes.sum(axis=1)) - sizes.sum(axis=1)
+    first = base[:, None] + np.cumsum(sizes, axis=1) - sizes
+    table = np.empty((n_states, len(tokens) + 1), dtype=np.int32)
+    progress = np.zeros((n_states, 3), dtype=np.int32)
 
     # Per input string ``s`` (a state's matched prefix plus one token): the
     # groups with an alternative ending ``s``, and the (length, group,
@@ -337,43 +343,39 @@ def compile_fsm(
             ]
         return memo[s]
 
-    def failure_target(mask: int, s: tuple[int, ...]) -> int:
-        ends, starts = matches(s)
-        mask |= ends
+    def fill(rows: np.ndarray, ms: np.ndarray, prefix: tuple[int, ...]) -> None:
         # Longest suffix of the input that is a proper prefix of a live
         # alternative; carried progress survives mask changes.
-        for length, g, ai in starts:
-            if not mask >> g & 1:
-                return progress_ids[(mask, g, ai, length)]
-        return mask
+        for col, tok in enumerate(tokens):
+            ends, starts = matches(prefix + (tok,))
+            reached = ms | ends
+            target = reached
+            for length, g, ai in reversed(starts):  # the longest live start is written last
+                target = np.where(reached >> g & 1, target, first[reached, g] + offsets[g][ai] + length - 1)
+            if mode is PhraseMatchMode.FAITHFUL:  # mask states only: completing a
+                # single-word group wins over starting a phrase
+                target = np.where(ends & ~ms, reached, target)
+            table[rows, col] = target
 
-    def faithful_target(label: tuple, token: int) -> int:
-        mask = label[0]
-        if len(label) == 1:
-            ends = matches((token,))[0]
-            # Completing a single-word group wins over starting a phrase.
-            return mask | ends if ends & ~mask else failure_target(mask, (token,))
-        _, g, ai, pos = label
-        alt = alt_ids[g][ai]
-        if token != alt[pos]:
-            return mask
-        return mask | 1 << g if pos + 1 == len(alt) else progress_ids[(mask, g, ai, pos + 1)]
-
-    tokens = sorted({t for alts in alt_ids for alt in alts for t in alt})
-    rows = []
-    for label in state_labels:
-        if mode is PhraseMatchMode.FAILURE:
-            prefix = alt_ids[label[1]][label[2]][: label[3]] if len(label) > 1 else ()
-            row = [failure_target(label[0], prefix + (tok,)) for tok in tokens]
-        else:
-            row = [faithful_target(label, tok) for tok in tokens]
-        rows.append(row + [label[0]])
+    table[:n_masks] = masks[:, None]
+    fill(masks, masks, ())
+    for g, alts in enumerate(alt_ids):
+        ms = masks[free[:, g]]
+        for ai, alt in enumerate(alts):
+            for pos in range(1, len(alt)):
+                rows = first[ms, g] + offsets[g][ai] + pos - 1
+                progress[rows] = g, ai, pos
+                table[rows] = ms[:, None]
+                if mode is PhraseMatchMode.FAILURE:
+                    fill(rows, ms, alt[:pos])
+                else:
+                    table[rows, tokens.index(alt[pos])] = ms | 1 << g if pos + 1 == len(alt) else rows + 1
 
     return ConstraintFSM(
         tokens=np.array(tokens, dtype=np.intp),
-        table=np.array(rows, dtype=np.int32),
+        table=table,
         vocab_size=len(vocab),
-        state_labels=tuple(state_labels),
+        progress=progress,
         min_satisfied=min_satisfied,
         n_groups=n,
         mode=mode,

@@ -69,9 +69,11 @@ class ImageRecord:
         if not isinstance(obj, dict):
             raise MalformedImageError(f"an image record must be a JSON object, got {obj!r}")
         try:
-            image_id, classes = str(obj["image_id"]), obj["classes"]
+            image_id, classes = obj["image_id"], obj["classes"]
         except KeyError as exc:
             raise MissingFieldError(f"an image record has no {exc.args[0]!r}") from None
+        if not isinstance(image_id, str):
+            raise MalformedImageError(f"an image record has no string image_id, got {image_id!r}")
         rotation = obj.get("rotation", "zero")
         try:
             rotation = _ROTATIONS[rotation]

@@ -17,6 +17,7 @@ from .errors import (
     EmptyCorpusError,
     MalformedModelError,
     MalformedVocabularyError,
+    NegativeBigramCountError,
     NonPositiveAlphaError,
     UnknownTokenError,
 )
@@ -120,7 +121,7 @@ class BigramModel:
             i = bad[np.argmin(first[bad])]
             if out_of_range[i]:
                 raise UnknownTokenError(f"count pair ({v[i]}, {w[i]}) out of range")
-            raise ValueError(f"negative count for pair ({v[i]}, {w[i]})")
+            raise NegativeBigramCountError(f"negative count for pair ({v[i]}, {w[i]})")
         self.vocab, self.alpha = vocab, float(alpha)
         nonzero = c != 0  # a zero count scores as the row default
         v, self._tokens, self._counts = v[nonzero], w[nonzero], c[nonzero]

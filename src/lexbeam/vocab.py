@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .errors import MalformedVocabularyError, UnknownTokenError
+from .errors import DuplicateTokenError, MalformedVocabularyError, UnknownTokenError
 
 BOS = "<s>"
 EOS = "</s>"
@@ -31,7 +31,7 @@ class Vocabulary:
         index: dict[str, int] = {}
         for i, tok in enumerate(tokens):
             if tok in index:
-                raise ValueError(f"duplicate token {tok!r}")
+                raise DuplicateTokenError(f"duplicate token {tok!r}")
             index[tok] = i
         self.tokens: tuple[str, ...] = tuple(tokens)
         self.bos_id = 0

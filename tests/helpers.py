@@ -13,7 +13,7 @@ import random
 import numpy as np
 
 from lexbeam import BigramModel, ConstraintGroup, TableScorer, Vocabulary
-from lexbeam.errors import MalformedModelError, NonPositiveAlphaError, UnknownTokenError
+from lexbeam.errors import MalformedModelError, NegativeBigramCountError, NonPositiveAlphaError, UnknownTokenError
 from lexbeam.sampling import POOL_KEYS, SampleStep, SelectionState
 
 
@@ -251,7 +251,7 @@ def reference_model_json(obj: dict) -> tuple[list[bytes], str]:
         if not (0 <= v < size and 0 <= w < size):
             raise UnknownTokenError(f"count pair ({v}, {w}) out of range")
         if c < 0:
-            raise ValueError(f"negative count for pair ({v}, {w})")
+            raise NegativeBigramCountError(f"negative count for pair ({v}, {w})")
     stored = sorted((pair, c) for pair, c in counts.items() if c)
     rows = []
     for context in range(size):

@@ -291,6 +291,23 @@ def test_decode_stdout_matches_frozen_golden(run, name, flags):
     assert out == (DATA / f"golden_decode_{name}.jsonl").read_text()
 
 
+@pytest.mark.parametrize("transitions", [False, True])
+@pytest.mark.parametrize("mode", ["failure", "faithful"])
+def test_inspect_fsm_stdout_matches_frozen_golden(run, mode, transitions):
+    # five groups: self-overlapping phrases (x x, x y x), prefixes shared
+    # across groups (x y x, x y z), a single-word group between phrase
+    # groups; the golden stdout was frozen from the compiler that built
+    # one label tuple per state
+    flags = ["--transitions"] if transitions else []
+    code, out, err = run(
+        "inspect-fsm", "--constraints", str(DATA / "inspect_constraints.json"),
+        "--vocab", str(DATA / "inspect_vocab.json"), "--mode", mode, *flags,
+    )
+    assert (code, err) == (0, "")
+    name = f"{mode}-transitions" if transitions else mode
+    assert out == (DATA / f"golden_inspect_{name}.txt").read_text()
+
+
 @pytest.mark.parametrize(
     "model",
     [
@@ -667,6 +684,8 @@ def test_filter_rejects_hierarchy_forms_that_are_not_lists_of_strings(run, tmp_p
             {"image_id": "i1", "classes": ["a", "b"], "rotation": "sideways"},
             "UnknownRotationError",
         ),
+        (("sample", "--target", "1", "--candidates", "1", "--seed", "0", "--images"), {"image_id": None, "classes": ["a"]}, "MalformedImageError"),
+        (("sample", "--target", "1", "--candidates", "1", "--seed", "0", "--images"), {"image_id": "i0", "classes": ["a"]}, "DuplicateImageError"),
     ],
 )
 def test_non_object_records_are_typed_errors_with_their_line(run, tmp_path, argv, record, error):
@@ -696,7 +715,63 @@ def test_flag_errors_carry_no_line_and_precede_reading(run, tmp_path, scorer_fil
     inputs = ("--scorer", scorer_file, "--constraints") if argv[0] == "decode" else ("--detections",)
     code, out, err = run(*argv, *inputs, str(path))
     assert (code, out) == (1, "")
-    assert json.loads(err) == {"error": "ValueError", "message": message}
+    error = "NonPositiveCountError" if argv[0] == "decode" else "FilterOptionError"
+    assert json.loads(err) == {"error": error, "message": message}
+
+
+@pytest.mark.parametrize(
+    "argv, error, line",
+    [
+        ("decode --scorer {scorer} --constraints {d}/two.jsonl --min-satisfied 9", "QuotaRangeError", 1),
+        ("inspect-fsm --constraints {d}/quota.json --vocab {d}/vocab.json", "QuotaRangeError", None),
+        ("filter --detections {d}/detections.jsonl", "ConfidenceRangeError", 1),
+        ("inspect-fsm --constraints {d}/quota.json --vocab {d}/twice.json", "DuplicateTokenError", None),
+        ("decode --scorer {d}/twice-model.json --constraints {d}/two.jsonl", "DuplicateTokenError", None),
+        ("decode --scorer {d}/negative-model.json --constraints {d}/two.jsonl", "NegativeBigramCountError", None),
+        ("inspect-fsm --constraints {d}/huge.json --vocab {d}/huge-vocab.json", "FSMTooLargeError", None),
+    ],
+)
+def test_bad_values_are_typed_input_errors(run, tmp_path, scorer_file, argv, error, line):
+    # each exited 1 as a bare ValueError, a type that a bug raises too
+    files = {
+        "two.jsonl": constraints_line("dog", "park") + "\n",
+        "quota.json": constraints_line("dog", "park", min_satisfied=9),
+        "vocab.json": json.dumps(["dog", "park"]),
+        "twice.json": json.dumps(["dog", "park", "dog"]),
+        "twice-model.json": json.dumps({"alpha": 1.0, "vocab": ["dog", "dog"], "counts": []}),
+        "negative-model.json": json.dumps({"alpha": 1.0, "vocab": ["dog", "park"], "counts": [[2, 3, -1]]}),
+        "detections.jsonl": json.dumps({"detections": [{"class": "Dog", "score": 1.5, "box": [0, 0, 1, 1]}]}) + "\n",
+        # 16 groups of one 40-token phrase: 20.5M states, refused before any is built
+        "huge.json": json.dumps({"groups": [{"alternatives": [[f"t{40 * g + i}" for i in range(40)]]} for g in range(16)]}),
+        "huge-vocab.json": json.dumps([f"t{i}" for i in range(640)]),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code, out, err = run(*argv.format(scorer=scorer_file, d=tmp_path).split())
+    assert (code, out) == (1, "")
+    payload = json.loads(err)
+    assert (payload["error"], payload.get("line")) == (error, line)
+
+
+def test_non_utf8_input_is_an_input_error(run, tmp_path):
+    path = tmp_path / "captions.jsonl"
+    path.write_bytes(b'{"caption": "a dog"}\n{"caption": "caf\xe9"}\n')
+    code, out, err = run("stats", "--captions", str(path))
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "UnicodeDecodeError"
+
+
+def test_an_internal_key_error_exits_two(run, tmp_path, monkeypatch):
+    # only bad input exits 1: a KeyError from a bug is not one
+    def broken(captions, n_max):
+        raise KeyError("lost")
+
+    monkeypatch.setattr("lexbeam.cli.ngram_stats", broken)
+    path = tmp_path / "captions.jsonl"
+    path.write_text(json.dumps({"caption": "a dog"}) + "\n")
+    code, out, err = run("stats", "--captions", str(path))
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "internal", "message": "KeyError: 'lost'"}
 
 
 def test_cli_defaults_are_the_library_defaults():

@@ -13,8 +13,10 @@ from lexbeam import (
 )
 from lexbeam.errors import (
     EmptyGroupError,
+    FSMTooLargeError,
     MalformedGroupError,
     OutOfRangeError,
+    QuotaRangeError,
     TooManyGroupsError,
     UnknownTokenError,
 )
@@ -223,9 +225,10 @@ def test_transitions_match_the_brute_force_oracle():
     rng = random.Random(4242)
     vocab = Vocabulary(["a", "b", "c"])
     pool = ["a", "b", "c", "<s>", "</s>"]
-    for trial in range(300):
+    for trial in range(340):
+        wide = trial >= 300  # 4-6 groups, the odd ones without a phrase
         groups = []
-        for g in range(rng.randint(0, 3)):
+        for g in range(rng.randint(4, 6) if wide else rng.randint(0, 3)):
             alts = []
             for _ in range(rng.randint(1, 3)):
                 x, y = rng.choice(pool[:3]), rng.choice(pool[:3])
@@ -234,6 +237,8 @@ def test_transitions_match_the_brute_force_oracle():
                     (x, y), (x, y, y), (x,),  # shared prefixes across alternatives
                     tuple(rng.choice(pool) for _ in range(rng.randint(1, 3))),
                 ]))
+            if wide and g % 2:
+                alts = [alt[:1] for alt in alts]
             groups.append(ConstraintGroup(f"g{g}", tuple(alts)))
         if trial % 10 == 0:
             groups.append(ConstraintGroup("sentinel", ((rng.choice(["<s>", "</s>"]),),)))
@@ -269,7 +274,9 @@ def test_compile_is_deterministic(vocab):
     a = compile_fsm(groups, 2, vocab)
     b = compile_fsm(groups, 2, vocab)
     assert np.array_equal(a.transitions, b.transitions)
-    assert a.state_labels == b.state_labels
+    assert [a.describe_state(s) for s in range(a.state_count)] == [
+        b.describe_state(s) for s in range(b.state_count)
+    ]
 
 
 def test_modes_build_identical_tables_for_single_word_groups():
@@ -360,9 +367,9 @@ def test_compile_errors(vocab):
         compile_fsm([ConstraintGroup("g", (("zebra",),))], 1, vocab)
     with pytest.raises(TooManyGroupsError):
         compile_fsm(single_word_groups(*["d1"] * (MAX_GROUPS + 1)), 1, vocab)
-    with pytest.raises(ValueError):
+    with pytest.raises(QuotaRangeError):
         compile_fsm(single_word_groups("d1"), 2, vocab)
-    with pytest.raises(ValueError):
+    with pytest.raises(QuotaRangeError):
         compile_fsm(single_word_groups("d1"), -1, vocab)
 
 
@@ -407,6 +414,53 @@ def test_compile_scales_to_large_vocabularies():
     assert fsm.transitions.shape == (fsm.state_count, len(vocab))
     assert fsm.step(0, vocab.id("tok31")) == 0  # uninvolved token self-loops
     assert fsm.satisfied_count(fsm.run(vocab.ids(["tok10", "tok30"]))) == 2
+
+
+@pytest.mark.parametrize("mode", list(PhraseMatchMode))
+def test_compile_peaks_at_a_small_multiple_of_the_table(mode):
+    import tracemalloc
+
+    # 6144 states x 31 columns: a 0.76 MB table
+    vocab = Vocabulary([f"tok{i}" for i in range(998)])
+    groups = [
+        ConstraintGroup(f"g{g}", ((f"tok{3 * g}",), (f"tok{3 * g + 1}", f"tok{3 * g + 2}")))
+        for g in range(10)
+    ]
+    tracemalloc.start()
+    try:
+        fsm = compile_fsm(groups, 2, vocab, mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fsm.state_count == 2**10 + 2**9 * 10
+    assert peak < 3_000_000
+
+
+def test_table_size_is_bounded_before_anything_is_allocated(monkeypatch):
+    import tracemalloc
+
+    from lexbeam import fsm as fsm_module
+
+    # 16 groups of one 40-token phrase: 20.5M states x 641 columns
+    vocab = Vocabulary([f"tok{i}" for i in range(640)])
+    groups = [ConstraintGroup(f"g{g}", (tuple(f"tok{40 * g + i}" for i in range(40)),)) for g in range(16)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(FSMTooLargeError) as info:
+            compile_fsm(groups, 1, vocab)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(info.value, ValueError)
+    assert peak < 1_000_000
+
+    # the bound is on states x (tokens + 1) x 4 bytes: 8 x 5 x 4 here
+    small = [ConstraintGroup("g0", (("x", "y"),)), ConstraintGroup("g1", (("d1", "d2"),))]
+    monkeypatch.setattr(fsm_module, "MAX_TABLE_BYTES", 160)
+    assert compile_fsm(small, 1, Vocabulary(["d1", "d2", "x", "y"])).table.nbytes == 160
+    monkeypatch.setattr(fsm_module, "MAX_TABLE_BYTES", 159)
+    with pytest.raises(FSMTooLargeError):
+        compile_fsm(small, 1, Vocabulary(["d1", "d2", "x", "y"]))
 
 
 def test_load_constraints_defaults_quota_to_two():

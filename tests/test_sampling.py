@@ -470,6 +470,10 @@ def test_domain_spec_keys_are_required(key):
         ({"image_id": "i1", "classes": ["a", "b"], "rotation": 0}, UnknownRotationError, ValueError),
         ({"image_id": "i1", "classes": ["a", "b"], "rotation": None}, UnknownRotationError, ValueError),
         ({"image_id": "i1", "classes": ["a", "b"], "rotation": ["zero"]}, UnknownRotationError, ValueError),
+        # null and [1] were read as the ids "None" and "[1]"
+        ({"image_id": None, "classes": ["a", "b"]}, MalformedImageError, TypeError),
+        ({"image_id": [1], "classes": ["a", "b"]}, MalformedImageError, TypeError),
+        ({"image_id": 1, "classes": ["a", "b"]}, MalformedImageError, TypeError),
     ],
 )
 def test_malformed_image_fields_are_typed_errors(obj, error, base):

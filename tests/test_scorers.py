@@ -272,7 +272,7 @@ def test_from_json_matches_the_per_triple_reference():
         valid.update(features)
     for feature in ("duplicate", "float", "string", "bool", "count past int64", "overwritten negative"):
         assert valid[feature] >= 20, (feature, valid)
-    for error in ("MalformedModelError", "UnknownTokenError", "ValueError"):
+    for error in ("MalformedModelError", "UnknownTokenError", "NegativeBigramCountError"):
         assert errors[error] >= 30, errors
 
 
