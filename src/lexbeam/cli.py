@@ -5,7 +5,9 @@ One binary, five subcommands (``decode``, ``filter``, ``sample``,
 in shell pipelines: ``filter`` turns detection records into constraint
 records, ``decode`` turns constraint records into captions. stdout
 carries data records only; diagnostics and errors (single-line JSON)
-go to stderr. Exit codes: 0 success, 1 input error, 2 internal error.
+go to stderr. Exit codes: 0 success, 1 input error, 2 internal error,
+141 (128 + SIGPIPE) when stdout is closed before the output is written,
+as by ``| head``; that exit writes nothing to stderr and no manifest.
 
 Every run can write a manifest (``--manifest PATH``) recording the
 subcommand, resolved flags, input/output paths, seed and tool version;
@@ -19,13 +21,14 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 import time
 from typing import Iterator, Sequence, TextIO
 
 from . import __version__
 from .beam import DecodeConfig, decode
-from .errors import DuplicateImageError, LexbeamError, MalformedCaptionError, MalformedDetectionError
+from .errors import DuplicateImageError, LexbeamError, MalformedCaptionError, MalformedDetectionError, QuotaRangeError
 from .filtering import (
     DEFAULT_IOU_THRESHOLD,
     DEFAULT_TOP_K,
@@ -214,6 +217,8 @@ def _cmd_filter(args: argparse.Namespace, out: TextIO, records: _Records) -> Non
     )
     mode = FilterMode(args.mode)
     filter_constraints([], hier, blacklist, mode, args.top_k, args.iou_threshold)  # checks the flags
+    if args.min_satisfied is not None and args.min_satisfied < 0:
+        raise QuotaRangeError(f"min_satisfied must be non-negative, got {args.min_satisfied}")
     for record in records(args.detections):
         dets = record.get("detections", []) if isinstance(record, dict) else None
         if not isinstance(dets, list):
@@ -229,6 +234,8 @@ def _cmd_filter(args: argparse.Namespace, out: TextIO, records: _Records) -> Non
             iou_threshold=args.iou_threshold,
         )
         k = args.min_satisfied if args.min_satisfied is not None else min(2, len(groups))
+        if k > len(groups):
+            raise QuotaRangeError(f"min_satisfied={k} outside [0, {len(groups)}]")
         payload = {
             "min_satisfied": k,
             "groups": [g.to_json() for g in groups],
@@ -286,6 +293,19 @@ def _cmd_inspect_fsm(args: argparse.Namespace, out: TextIO, records: _Records) -
             out.write(f"state {state}: default->{default} " + " ".join(moved) + "\n")
 
 
+def _discard_stdout() -> None:
+    """Point stdout's file descriptor at the null device. A failed write
+    stays in stdout's buffer, and the flush at interpreter exit would
+    otherwise fail on it again and report it on stderr."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # not backed by a file descriptor
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 _COMMANDS = {
     "decode": _cmd_decode,
     "filter": _cmd_filter,
@@ -312,6 +332,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     records = _Records()
     try:
         _COMMANDS[args.subcommand](args, sys.stdout, records)
+        sys.stdout.flush()  # a closed pipe fails here, not in the flush at exit
+    except BrokenPipeError:  # the reader left, as `| head` does: not an input error
+        _discard_stdout()
+        return 141
     except (LexbeamError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         _emit_error(type(exc).__name__, str(exc), records.line)
         return 1

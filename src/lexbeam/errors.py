@@ -120,17 +120,12 @@ class DuplicateImageError(LexbeamError, ValueError):
 
 
 class MissingFieldError(LexbeamError, KeyError):
-    """A record lacks a required key: an image record's ``image_id`` or
-    ``classes``, or a domain spec's ``in_domain`` or ``out_of_domain``."""
+    """An image record lacks its ``image_id`` or ``classes``."""
 
 
 class UnknownRotationError(LexbeamError, ValueError):
     """An image record's ``rotation`` is not one of the strings ``zero``,
     ``nonzero`` and ``unknown``."""
-
-
-class MalformedDomainError(LexbeamError, TypeError):
-    """A domain spec's class set is not a list of class-name strings."""
 
 
 class OverlappingDomainsError(LexbeamError, ValueError):

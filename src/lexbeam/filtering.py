@@ -130,8 +130,7 @@ class ClassHierarchy:
     [["dog"], ["dogs"]]}``. Each class's forms are held as one
     :class:`~lexbeam.fsm.ConstraintGroup`, so they pass its check: a list
     of non-empty lists of token strings. Lookups are case-insensitive;
-    depth is the distance from a root, and depth and ancestry both walk
-    the parent links (:meth:`_ancestors`).
+    ancestry walks the parent links (:meth:`_ancestors`).
     """
 
     def __init__(self, records: list[dict]):
@@ -179,9 +178,6 @@ class ClassHierarchy:
         if key not in self._parent:
             raise UnknownClassError(f"class {class_name!r} not in hierarchy")
         return key
-
-    def depth(self, class_name: str) -> int:
-        return sum(1 for _ in self._ancestors(self._key(class_name)))
 
     def word_forms(self, class_name: str) -> tuple[tuple[str, ...], ...]:
         return self._groups[self._key(class_name)].alternatives

@@ -205,13 +205,6 @@ class ConstraintFSM:
         return self.columns.shape[0]
 
     @property
-    def transitions(self) -> np.ndarray:
-        """The dense, read-only ``state_count x vocab_size`` table, derived on each read."""
-        dense = self.table[:, self.columns]
-        dense.flags.writeable = False
-        return dense
-
-    @property
     def initial_state(self) -> int:
         return 0
 

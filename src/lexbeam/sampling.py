@@ -27,7 +27,6 @@ import numpy as np
 from .errors import (
     AllClassesIgnoredError,
     EmptyPoolsError,
-    MalformedDomainError,
     MalformedImageError,
     MissingFieldError,
     NonPositiveCountError,
@@ -113,18 +112,6 @@ class DomainSpec:
         if overlaps:
             raise OverlappingDomainsError(f"domain sets overlap on {sorted(overlaps)!r}")
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "DomainSpec":
-        try:
-            sets = {key: obj[key] for key in ("in_domain", "out_of_domain")}
-        except KeyError as exc:
-            raise MissingFieldError(f"a domain spec has no {exc.args[0]!r}") from None
-        sets["ignored"] = obj.get("ignored", [])
-        for key, classes in sets.items():
-            if not isinstance(classes, list) or not all(isinstance(c, str) for c in classes):
-                raise MalformedDomainError(f"{key} must be a list of strings, got {classes!r}")
-        return cls(**{key: frozenset(classes) for key, classes in sets.items()})
-
 
 @dataclass(frozen=True, slots=True)
 class SampleStep:
@@ -139,11 +126,10 @@ class SampleStep:
 @dataclass
 class SelectionState:
     """Result of :func:`sample`: selected ids in order, the running
-    presence-based class counts, the seed used and a per-step trace."""
+    presence-based class counts and a per-step trace."""
 
     selected: list[str]
     class_counts: dict[str, int]
-    rng_seed: int
     trace: list[SampleStep] = field(default_factory=list)
 
 
@@ -311,7 +297,7 @@ def sample(
         pools[n].append(img)
 
     rng = random.Random(seed)
-    state = SelectionState(selected=selected, class_counts=counts, rng_seed=seed)
+    state = SelectionState(selected=selected, class_counts=counts)
 
     while len(selected) < target_count and any(pools.values()):
         for key in POOL_KEYS:

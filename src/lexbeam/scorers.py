@@ -179,11 +179,6 @@ class BigramModel:
         contexts = np.repeat(np.arange(len(self.vocab)), np.diff(self._indptr))
         return np.column_stack((contexts, self._tokens, self._counts))
 
-    @property
-    def counts(self) -> dict[tuple[int, int], int]:
-        """The nonzero counts, sorted by (context, token); a new dict."""
-        return {(v, w): c for v, w, c in self._triples().tolist()}
-
     def to_json(self) -> dict:
         return {
             "alpha": self.alpha,

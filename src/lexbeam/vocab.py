@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DuplicateTokenError, MalformedVocabularyError, UnknownTokenError
 
@@ -47,12 +47,6 @@ class Vocabulary:
 
     def __len__(self) -> int:
         return len(self.tokens)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._index
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.tokens)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Vocabulary) and self.tokens == other.tokens

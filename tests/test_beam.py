@@ -74,6 +74,18 @@ def test_no_hypothesis_when_fallback_disabled():
         )
 
 
+def test_fallback_raises_when_no_hypothesis_can_finish():
+    # the end sentinel has probability zero after every prefix, so no
+    # tier has a finalist for the fallback to choose from
+    vocab = Vocabulary(["a", "b"])
+    row = [-np.inf, -np.inf, np.log(0.5), np.log(0.5)]
+    scorer = TableScorer(vocab, {}, default=row)
+    groups = [ConstraintGroup("a", (("a",),))]
+    for fsm in (compile_fsm([], 0, vocab), compile_fsm(groups, 1, vocab)):
+        with pytest.raises(NoHypothesisError, match="at any satisfaction tier"):
+            decode(scorer, fsm, DecodeConfig(beam_width=3, max_len=4))
+
+
 def test_empty_constraints_equal_unconstrained_bitwise():
     rng = random.Random(42)
     for _ in range(20):
@@ -500,4 +512,4 @@ def test_concurrent_decodes_share_one_fsm_and_scorer():
     assert all(r == reference for r in results)
     # compiled tables are immutable
     with pytest.raises(ValueError):
-        fsm.transitions[0, 0] = 1
+        fsm.table[0, 0] = 1

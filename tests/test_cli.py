@@ -16,7 +16,9 @@ expected files were derived by hand:
   Dog detections collapse to the higher score).
 """
 
+import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -644,6 +646,37 @@ def test_filter_rejects_boxes_without_a_positive_finite_area(run, tmp_path, box)
     assert (payload["error"], payload["line"]) == ("DegenerateBoxError", 1)
 
 
+@pytest.mark.parametrize("records", ["", "{}\n"])
+def test_filter_rejects_a_negative_min_satisfied_before_reading(run, tmp_path, records):
+    path = tmp_path / "detections.jsonl"
+    path.write_text(records)
+    code, out, err = run("filter", "--min-satisfied", "-2", "--detections", str(path))
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "QuotaRangeError", "message": "min_satisfied must be non-negative, got -2"}
+
+
+def test_filter_rejects_a_min_satisfied_above_the_group_count_with_its_line(run, tmp_path):
+    code, out, err = run("filter", "--min-satisfied", "9", "--detections", str(DATA / "detections.jsonl"))
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "QuotaRangeError", "message": "min_satisfied=9 outside [0, 3]", "line": 1}
+    # a quota that the first record meets and the second, with no groups, does not
+    path = tmp_path / "detections.jsonl"
+    dog = {"class": "Dog", "score": 0.9, "box": [0, 0, 1, 1]}
+    cat = {"class": "Cat", "score": 0.8, "box": [5, 5, 6, 6]}
+    path.write_text("".join(json.dumps({"detections": d}) + "\n" for d in ([dog, cat], [], [dog])))
+    code, out, err = run("filter", "--min-satisfied", "2", "--detections", str(path))
+    assert code == 1
+    assert [json.loads(line)["min_satisfied"] for line in out.splitlines()] == [2]
+    assert json.loads(err) == {"error": "QuotaRangeError", "message": "min_satisfied=2 outside [0, 0]", "line": 2}
+
+
+@pytest.mark.parametrize("quota", [0, 3])
+def test_filter_stamps_a_min_satisfied_up_to_the_group_count(run, quota):
+    code, out, _ = run("filter", "--min-satisfied", str(quota), "--detections", str(DATA / "detections.jsonl"))
+    assert code == 0
+    assert json.loads(out)["min_satisfied"] == quota
+
+
 @pytest.mark.parametrize("hierarchy", [{"class": "dog", "forms": [["dog"]]}, [[1]], [{"forms": [["dog"]]}]])
 def test_filter_rejects_malformed_hierarchy_files(run, tmp_path, hierarchy):
     hpath, dpath = tmp_path / "hierarchy.json", tmp_path / "detections.jsonl"
@@ -725,6 +758,8 @@ def test_flag_errors_carry_no_line_and_precede_reading(run, tmp_path, scorer_fil
         ("decode --scorer {scorer} --constraints {d}/two.jsonl --min-satisfied 9", "QuotaRangeError", 1),
         ("inspect-fsm --constraints {d}/quota.json --vocab {d}/vocab.json", "QuotaRangeError", None),
         ("filter --detections {d}/detections.jsonl", "ConfidenceRangeError", 1),
+        ("filter --detections {d}/box3.jsonl", "DegenerateBoxError", 2),
+        ("filter --detections {d}/box5.jsonl", "DegenerateBoxError", 2),
         ("inspect-fsm --constraints {d}/quota.json --vocab {d}/twice.json", "DuplicateTokenError", None),
         ("decode --scorer {d}/twice-model.json --constraints {d}/two.jsonl", "DuplicateTokenError", None),
         ("decode --scorer {d}/negative-model.json --constraints {d}/two.jsonl", "NegativeBigramCountError", None),
@@ -741,6 +776,10 @@ def test_bad_values_are_typed_input_errors(run, tmp_path, scorer_file, argv, err
         "twice-model.json": json.dumps({"alpha": 1.0, "vocab": ["dog", "dog"], "counts": []}),
         "negative-model.json": json.dumps({"alpha": 1.0, "vocab": ["dog", "park"], "counts": [[2, 3, -1]]}),
         "detections.jsonl": json.dumps({"detections": [{"class": "Dog", "score": 1.5, "box": [0, 0, 1, 1]}]}) + "\n",
+        **{
+            f"box{n}.jsonl": "\n" + json.dumps({"detections": [{"class": "Dog", "score": 0.9, "box": [0] * (n - 2) + [1, 1]}]}) + "\n"
+            for n in (3, 5)
+        },
         # 16 groups of one 40-token phrase: 20.5M states, refused before any is built
         "huge.json": json.dumps({"groups": [{"alternatives": [[f"t{40 * g + i}" for i in range(40)]]} for g in range(16)]}),
         "huge-vocab.json": json.dumps([f"t{i}" for i in range(640)]),
@@ -772,6 +811,56 @@ def test_an_internal_key_error_exits_two(run, tmp_path, monkeypatch):
     code, out, err = run("stats", "--captions", str(path))
     assert (code, out) == (2, "")
     assert json.loads(err) == {"error": "internal", "message": "KeyError: 'lost'"}
+
+
+class _ClosedStdout(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_a_closed_stdout_exits_141_without_error_or_manifest(run, tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    manifest = tmp_path / "manifest.json"
+    code, _, err = run("--manifest", str(manifest), "filter", "--detections", str(DATA / "detections.jsonl"))
+    assert (code, err) == (141, "")
+    assert not manifest.exists()
+
+
+def _cli_into(stdout, *argv):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # stdout buffered, as by default
+    return subprocess.run(
+        [sys.executable, "-m", "lexbeam.cli", *argv],
+        stdin=subprocess.DEVNULL, stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120,
+    )
+
+
+def test_a_pipe_closed_by_head_exits_141_without_error_or_manifest(tmp_path):
+    # 6144 states dump about 1 MB, far more than the pipe holds, so a
+    # write fails once head has printed its line and left
+    cpath, vpath = write_fsm_inputs(
+        tmp_path, [(f"g{g}", [[f"a{g}", f"b{g}"]]) for g in range(10)], 1, [f"{w}{g}" for g in range(10) for w in "ab"]
+    )
+    manifest = tmp_path / "manifest.json"
+    head = subprocess.Popen(["head", "-1"], stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+    proc = _cli_into(
+        head.stdin, "--manifest", str(manifest), "inspect-fsm", "--constraints", cpath, "--vocab", vpath, "--transitions"
+    )
+    first, _ = head.communicate(timeout=120)
+    assert first.startswith(b"6144 states, ")
+    assert (proc.returncode, proc.stderr) == (141, b"")
+    assert not manifest.exists()
+
+
+def test_a_pipe_closed_before_a_small_output_exits_141_without_error(tmp_path):
+    # the whole output fits stdout's buffer, so the write fails only on
+    # the final flush, and the flush at interpreter exit must not fail again
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _cli_into(write, "filter", "--detections", str(DATA / "detections.jsonl"))
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def test_cli_defaults_are_the_library_defaults():

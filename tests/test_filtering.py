@@ -134,9 +134,10 @@ def test_detection_validation():
 
 
 def test_hierarchy_depth_and_ancestry(hier):
-    assert hier.depth("Animal") == 0
-    assert hier.depth("Mammal") == 1
-    assert hier.depth("Dog") == 2
+    # a class's depth is the number of its strict ancestors
+    classes = ("Animal", "Mammal", "Dog")
+    depths = [sum(hier.is_strict_ancestor(a, c) for a in classes) for c in classes]
+    assert depths == [0, 1, 2]
     assert hier.is_strict_ancestor("Mammal", "Dog")
     assert hier.is_strict_ancestor("Animal", "Dog")
     assert not hier.is_strict_ancestor("Dog", "Mammal")
@@ -147,7 +148,9 @@ def test_hierarchy_is_case_insensitive(hier):
     assert "dog" in hier
     assert hier.word_forms("DOG") == ((("dog",), ("dogs",)))
     with pytest.raises(UnknownClassError):
-        hier.depth("Wombat")
+        hier.is_strict_ancestor("Wombat", "Dog")
+    with pytest.raises(UnknownClassError):
+        hier.word_forms("Wombat")
 
 
 def test_hierarchy_rejects_cycles_and_dangling_parents():
@@ -207,8 +210,7 @@ def test_hierarchy_accepts_a_chain_as_deep_as_the_class_count():
     chain = ClassHierarchy(
         [{"class": f"c{i}", "parent": f"c{i - 1}" if i else None, "forms": [[f"w{i}"]]} for i in range(n)]
     )
-    assert chain.depth(f"c{n - 1}") == n - 1
-    assert chain.is_strict_ancestor("c0", f"c{n - 1}")
+    assert all(chain.is_strict_ancestor(f"c{i}", f"c{n - 1}") for i in range(n - 1))
     assert not chain.is_strict_ancestor(f"c{n - 1}", "c0")
     assert chain.word_forms(f"C{n - 1}") == ((f"w{n - 1}",),)
 

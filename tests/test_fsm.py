@@ -34,6 +34,11 @@ def single_word_groups(*words):
     return [ConstraintGroup(label=w, alternatives=((w,),)) for w in words]
 
 
+def dense_table(fsm):
+    """The ``state_count x vocab_size`` transition table, read through ``targets``."""
+    return fsm.targets(np.arange(fsm.state_count)[:, None], np.arange(fsm.vocab_size))
+
+
 @pytest.fixture
 def vocab():
     return Vocabulary(["d1", "d2", "d3", "x", "y"])
@@ -59,7 +64,7 @@ def test_empty_constraint_set_is_one_state_all_accepting(vocab):
     fsm = compile_fsm([], 0, vocab)
     assert fsm.state_count == 1
     assert fsm.accepting(0)
-    assert np.all(fsm.transitions == 0)
+    assert np.all(dense_table(fsm) == 0)
 
 
 def test_two_and_three_word_alternatives_add_4_and_8_states(vocab):
@@ -245,8 +250,9 @@ def test_transitions_match_the_brute_force_oracle():
         for mode in PhraseMatchMode:
             fsm = compile_fsm(groups, len(groups) // 2, vocab, mode)
             expected = reference_transitions(groups, vocab, mode.value)
-            assert fsm.transitions.dtype == expected.dtype
-            assert np.array_equal(fsm.transitions, expected), (groups, mode)
+            table = dense_table(fsm)
+            assert table.dtype == expected.dtype
+            assert np.array_equal(table, expected), (groups, mode)
 
 
 # -------------------------------------------------------------- properties
@@ -273,7 +279,7 @@ def test_compile_is_deterministic(vocab):
     ]
     a = compile_fsm(groups, 2, vocab)
     b = compile_fsm(groups, 2, vocab)
-    assert np.array_equal(a.transitions, b.transitions)
+    assert np.array_equal(dense_table(a), dense_table(b))
     assert [a.describe_state(s) for s in range(a.state_count)] == [
         b.describe_state(s) for s in range(b.state_count)
     ]
@@ -286,7 +292,7 @@ def test_modes_build_identical_tables_for_single_word_groups():
         groups = random_groups(rng, vocab, max_groups=4, max_phrase_len=1, max_alts=3)
         faithful = compile_fsm(groups, 1, vocab, PhraseMatchMode.FAITHFUL)
         failure = compile_fsm(groups, 1, vocab, PhraseMatchMode.FAILURE)
-        assert np.array_equal(faithful.transitions, failure.transitions)
+        assert np.array_equal(dense_table(faithful), dense_table(failure))
 
 
 def test_faithful_mode_never_claims_more_than_failure_mode():
@@ -411,7 +417,7 @@ def test_compile_scales_to_large_vocabularies():
     assert time.monotonic() - started < 2.0
     # a quarter of the dense int32 table: compiling must not build it
     assert peak < fsm.state_count * len(vocab)
-    assert fsm.transitions.shape == (fsm.state_count, len(vocab))
+    assert dense_table(fsm).shape == (fsm.state_count, len(vocab))
     assert fsm.step(0, vocab.id("tok31")) == 0  # uninvolved token self-loops
     assert fsm.satisfied_count(fsm.run(vocab.ids(["tok10", "tok30"]))) == 2
 

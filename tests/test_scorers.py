@@ -64,7 +64,7 @@ def test_unseen_context_is_uniform(vocab):
 def test_fit_is_invariant_to_sentence_order(vocab):
     m1 = BigramModel.fit(["a b", "b a a"], vocab=vocab)
     m2 = BigramModel.fit(["b a a", "a b"], vocab=vocab)
-    assert m1.counts == m2.counts
+    assert m1.to_json()["counts"] == m2.to_json()["counts"]
     for ctx in range(len(vocab)):
         assert np.array_equal(m1.next_logprobs([ctx]), m2.next_logprobs([ctx]))
 
@@ -106,6 +106,14 @@ def test_rows_are_read_only(vocab):
     row = model.next_logprobs([])
     with pytest.raises(ValueError):
         row[0] = 0.0
+
+
+def test_fit_without_a_vocabulary_uses_the_sorted_corpus_words():
+    model = BigramModel.fit(["the dog", ["a", "dog"]])
+    assert model.vocab == Vocabulary(["a", "dog", "the"])
+    a, dog, the = model.vocab.ids(["a", "dog", "the"])
+    bos, eos = model.vocab.bos_id, model.vocab.eos_id
+    assert model.to_json()["counts"] == [[bos, a, 1], [bos, the, 1], [a, dog, 1], [dog, eos, 2], [the, dog, 1]]
 
 
 def test_fit_errors(vocab):
@@ -175,11 +183,9 @@ def test_counts_past_int64_are_saved_exactly(tmp_path):
 def test_counts_are_derived_nonzero_and_read_only(vocab):
     a, b = vocab.id("a"), vocab.id("b")
     model = BigramModel(vocab, {(b, a): 2, (a, b): 0, (a, a): 1}, 1.0)
-    assert list(model.counts.items()) == [((a, a), 1), ((b, a), 2)]
-    model.counts[(a, b)] = 7  # a new dict on each read
-    assert model.counts == {(a, a): 1, (b, a): 2}
-    with pytest.raises(AttributeError):
-        model.counts = {}
+    assert model.to_json()["counts"] == [[a, a, 1], [b, a, 2]]
+    model.to_json()["counts"].append([a, b, 7])  # a new list on each call
+    assert model.to_json()["counts"] == [[a, a, 1], [b, a, 2]]
 
 
 def test_model_memory_is_linear_in_vocabulary_and_pairs():
@@ -199,7 +205,7 @@ def test_model_memory_is_linear_in_vocabulary_and_pairs():
     # a dense V x V float64 table would take 128 MB
     assert peak < 256 * (size + len(counts))
     assert row.shape == (size,)
-    assert model.counts == {k: c for k, c in sorted(counts.items())}
+    assert model.to_json()["counts"] == [[v, w, c] for (v, w), c in sorted(counts.items())]
 
 
 def _random_model_json(rng: random.Random) -> tuple[dict, set[str]]:
@@ -292,7 +298,7 @@ def test_from_json_memory_holds_no_per_triple_objects():
     # the triples as int64 take 24 bytes each; a {(v, w): c} dict of
     # tuples on the way peaks at about 180 bytes per triple
     assert peak < 144 * len(triples)
-    assert len(model.counts) == len({(v, w) for v, w, _ in triples})
+    assert len(model.to_json()["counts"]) == len({(v, w) for v, w, _ in triples})
 
 
 @pytest.mark.parametrize(

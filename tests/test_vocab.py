@@ -15,7 +15,6 @@ def test_lookup_roundtrip():
     v = Vocabulary(["a", "b"])
     assert v.ids(["a", "b"]) == (2, 3)
     assert v.words([2, 3]) == ("a", "b")
-    assert "a" in v and "z" not in v
 
 
 def test_unknown_token_raises():
