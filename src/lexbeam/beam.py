@@ -33,18 +33,26 @@ the search cheap:
   leads a parent to its own mask state, so only the parent's
   ``beam_width`` best plain tokens can survive there, and of those tied
   at the ``beam_width``-th best (the cut), only the smallest ids.
-* Each scorer context is scored once per call: ``next_logprobs`` runs
-  once per distinct key, the last ``scorer.context_size`` tokens of a
+* Each scorer context is scored once per call: the scorer runs once
+  per distinct key, the last ``scorer.context_size`` tokens of a
   prefix, or the whole prefix when the scorer declares no
-  ``context_size``. It keeps a fixed-width block, never its full row:
-  the end sentinel, the special tokens and at most ``2 * beam_width - 1``
-  plain tokens (fewer than ``beam_width`` above the cut, then the
-  ``beam_width`` smallest ids at it), padded with -inf. Nothing outlives
-  the step when the key is the whole prefix.
+  ``context_size``.
+* A row is read as "default plus exceptions": ``(default, ids,
+  values)`` from ``sparse_logprobs`` when the scorer offers it, else
+  the ``next_logprobs`` row as default -inf with every id listed. Every
+  unlisted plain token scores the default, so ``beam_width`` copies of
+  it stand for all of them in the cut, and when the default reaches
+  the cut the tokens it adds are the smallest unlisted plain ids: a
+  context costs O(listed ids + ``beam_width``), not O(V).
+* Each context keeps a fixed-width block, never its row: the end
+  sentinel, the special tokens and at most ``2 * beam_width - 1`` plain
+  tokens (fewer than ``beam_width`` above the cut, then the
+  ``beam_width`` smallest ids at it), padded with -inf. Nothing
+  outlives the step when the key is the whole prefix.
 * Adding a hypothesis logprob to raw scores keeps their order, so the
   context's block holds the hypothesis's candidates, except where
   rounding makes a lower raw score tie the cut; that hypothesis rebuilds
-  its block from its full row, shifted by its logprob.
+  its block from its row, shifted by its logprob.
 * A finisher below the ``beam_width``-th best earlier finisher of its
   state is dropped at once, so stored finishers stay near
   ``beam_width`` per state.
@@ -52,6 +60,8 @@ the search cheap:
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,6 +112,45 @@ class BeamHypothesis:
     fsm_state: int
 
 
+class _Finalists(Mapping):
+    """Each FSM state's finalists, kept as arrays until first read.
+
+    The first read builds every state's :class:`BeamHypothesis` tuple
+    at once, through one int object per token id, and keeps it. A result
+    nobody reads the finalists of holds a few arrays, not an object per
+    finalist and token.
+    """
+
+    __slots__ = ("_arrays", "_built")
+
+    def __init__(self, ends: np.ndarray, logprobs: np.ndarray, states: np.ndarray):
+        # rows sorted by state, then best first; tokens padded with -1
+        self._arrays = (ends, logprobs, states)
+        self._built: dict[int, tuple[BeamHypothesis, ...]] | None = None
+
+    def _dict(self) -> dict[int, tuple[BeamHypothesis, ...]]:
+        if self._built is None:
+            finalists: dict[int, list[BeamHypothesis]] = {}
+            shared: dict[int, int] = {}
+            for row, lp, s in zip(*(a.tolist() for a in self._arrays)):
+                tokens = tuple(shared.setdefault(t, t) for t in row if t >= 0)
+                finalists.setdefault(s, []).append(BeamHypothesis(tokens, lp, s))
+            self._built = {s: tuple(hyps) for s, hyps in finalists.items()}
+        return self._built
+
+    def __getitem__(self, state: int) -> tuple[BeamHypothesis, ...]:
+        return self._dict()[state]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._dict())
+
+    def __len__(self) -> int:
+        return len(self._dict())
+
+    def __repr__(self) -> str:
+        return repr(self._dict())
+
+
 @dataclass(frozen=True)
 class DecodeResult:
     """Outcome of a decode call.
@@ -110,15 +159,17 @@ class DecodeResult:
     ``satisfied_count`` is the actual satisfied-group count of the
     winning hypothesis, which can be below the quota only when the
     fallback tiers were used. ``per_state_finalists`` maps each FSM
-    state that produced finishers to its best completed hypotheses (at
-    most ``beam_width``, best first). It holds finite-logprob finishers
-    only.
+    state that produced finishers, in increasing order, to its best
+    completed hypotheses (at most ``beam_width``, best first). It holds
+    finite-logprob finishers only. :func:`decode` fills it with a
+    read-only mapping that builds its hypotheses on first read, with
+    equal token ids sharing one int object.
     """
 
     tokens: tuple[int, ...]
     logprob: float
     satisfied_count: int
-    per_state_finalists: dict[int, tuple[BeamHypothesis, ...]] = field(hash=False)
+    per_state_finalists: Mapping[int, tuple[BeamHypothesis, ...]] = field(hash=False)
 
 
 def _first_per_key(keys: np.ndarray, width: int) -> np.ndarray:
@@ -126,32 +177,81 @@ def _first_per_key(keys: np.ndarray, width: int) -> np.ndarray:
     return np.arange(len(keys)) - np.searchsorted(keys, keys) < width
 
 
+def _rows(scorer: Scorer, size: int):
+    """A reader of the scorer's rows as checked ``(default, ids, values)``
+    triples: through ``sparse_logprobs`` when the scorer offers it, else
+    a ``next_logprobs`` row read as default -inf with every id listed."""
+    sparse = getattr(scorer, "sparse_logprobs", None)
+    every_id = np.arange(size)
+
+    def read(prefix: tuple[int, ...]) -> tuple[float, np.ndarray, np.ndarray]:
+        if sparse is None:
+            default, ids, values = -np.inf, every_id, scorer.next_logprobs(prefix)
+        else:
+            default, ids, values = sparse(prefix)
+        ids, values, default = np.asarray(ids), np.asarray(values, dtype=float), float(default)
+        if values.shape != ids.shape or ids.ndim != 1:
+            raise ScorerContractError(
+                f"scorer returned shape {values.shape} for prefix {prefix!r}, expected {ids.shape}"
+            )
+        if not ids.size:
+            ids = every_id[:0]
+        elif ids.dtype.kind not in "iu" or ids[0] < 0 or ids[-1] >= size or (ids[1:] <= ids[:-1]).any():
+            raise ScorerContractError(
+                f"scorer row ids for prefix {prefix!r} are not sorted unique integers in [0, {size})"
+            )
+        if math.isnan(default) or np.isnan(values).any():
+            raise ScorerContractError(f"scorer returned NaN for prefix {prefix!r}")
+        return default, ids, values
+
+    return read
+
+
 def _candidates(
-    scorer: Scorer, prefix: tuple[int, ...], offset: float, size: int, eos: int,
-    special: np.ndarray, plain: np.ndarray, width: int,
+    row: tuple, offset: float, head: np.ndarray, plain: np.ndarray, is_plain: np.ndarray, width: int,
 ) -> tuple:
-    """Score one scorer context and build its candidate block.
+    """Build one scorer context's candidate block from its sparse row.
 
     Returns the block's tokens and scores (``offset`` plus the row's),
     the ``width``-th best plain score (the cut) and the best plain score
-    below it. The block is the end sentinel, the special tokens, the
-    plain tokens strictly above the cut and the ``width`` smallest ids
-    tied at it, padded with -inf to ``special.size + 2 * width`` columns.
+    below it. The block is ``head`` (the end sentinel, then the special
+    tokens), the plain tokens strictly above the cut and the ``width``
+    smallest ids tied at it, padded with -inf to ``head.size + 2 * width
+    - 1`` columns. Every plain token the row does not list scores the
+    default, so ``width`` of them stand in for all of them: in the cut,
+    and, when the default reaches the cut, as the smallest unlisted
+    plain ids.
     """
-    row = np.asarray(scorer.next_logprobs(prefix), dtype=float)
-    if row.shape != (size,):
-        raise ScorerContractError(
-            f"scorer returned shape {row.shape} for prefix {prefix!r}, expected ({size},)"
-        )
-    if np.isnan(row).any():
-        raise ScorerContractError(f"scorer returned NaN for prefix {prefix!r}")
-    rest = row[plain] + offset
-    cut = np.partition(rest, -width)[-width] if plain.size > width else -np.inf
-    top = plain[np.concatenate([np.flatnonzero(rest > cut), np.flatnonzero(rest == cut)[:width]])]
-    tokens = np.concatenate([[eos], special, top, np.full(2 * width - 1 - top.size, eos)])
-    scores = row[tokens] + offset
-    scores[1 + special.size + top.size:] = -np.inf
-    return tokens, scores, cut, np.max(rest, where=rest < cut, initial=-np.inf)
+    default, ids, values = row
+    if offset:
+        default, values = default + offset, values + offset
+    listed = is_plain[ids]
+    seen, rest = ids[listed], values[listed]
+    unseen = min(width, plain.size - seen.size)
+    if plain.size > width:
+        cut = np.partition(np.concatenate((rest, [default] * unseen)), -width)[-width]
+    else:
+        cut = -np.inf
+    above, tied = seen[rest > cut], seen[rest == cut]
+    if unseen and default >= cut:
+        # the smallest unlisted plain ids, all within the first ``width`` unlisted
+        first = plain[:width + seen.size]
+        free = first[~np.isin(first, seen)][:unseen]
+        if default > cut:
+            above = np.sort(np.concatenate((above, free)))
+        else:
+            tied = np.sort(np.concatenate((tied, free)))
+    top = np.concatenate((above, tied[:width]))
+    pad = 2 * width - 1 - top.size
+    tokens = np.concatenate((head, top, head[:1].repeat(pad)))  # padded with the end sentinel
+    if ids.size:
+        at = ids.searchsorted(tokens)
+        scores = np.where(ids.take(at, mode="clip") == tokens, values.take(at, mode="clip"), default)
+    else:
+        scores = np.full(tokens.size, default)
+    scores[tokens.size - pad:] = -np.inf
+    lower = rest[rest < cut].max(initial=default if unseen and default < cut else -np.inf)
+    return tokens, scores, cut, lower
 
 
 def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig()) -> DecodeResult:
@@ -162,7 +262,8 @@ def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig(
     cannot be met and the fallback is disabled, or when no hypothesis
     finishes with a nonzero probability. Raises
     :class:`ScorerContractError` when a scorer row has the wrong shape
-    or holds NaN.
+    or holds NaN, or a sparse row's ids are unsorted, repeated or out of
+    range.
     """
     vocab = scorer.vocab
     if len(vocab) != fsm.vocab_size:
@@ -173,8 +274,11 @@ def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig(
     # Only constraint ("special") tokens move a state off its mask state;
     # every other ("plain") token leads each state to its own mask state.
     special = fsm.tokens[fsm.tokens != eos]
-    plain = np.setdiff1d(np.arange(size), np.append(fsm.tokens, eos))
-    layout = (size, eos, special, plain, width)
+    is_plain = np.ones(size, dtype=bool)
+    is_plain[fsm.tokens] = is_plain[eos] = False
+    plain = np.flatnonzero(is_plain)
+    layout = (np.append(eos, special), plain, is_plain, width)
+    read = _rows(scorer, size)
 
     context = getattr(scorer, "context_size", None)
     # Contexts scored so far in this call: key -> index into ``blocks``.
@@ -202,7 +306,7 @@ def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig(
             if c is None:
                 c = keys[key] = len(blocks)
                 prefix = tuple(seqs[i, :step].tolist())
-                blocks.append(_candidates(scorer, prefix, 0.0, *layout))
+                blocks.append(_candidates(read(prefix), 0.0, *layout))
             ctx[i] = c
         ids, scores, cut, lower = (np.array(part)[ctx] for part in zip(*blocks))
         lp = logprobs[:, None] + scores
@@ -213,7 +317,7 @@ def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig(
         tied = (lower > -np.inf) & (logprobs + lower == logprobs + cut)
         for i in np.flatnonzero(tied).tolist():
             prefix = tuple(seqs[i, :step].tolist())
-            ids[i], lp[i], _, _ = _candidates(scorer, prefix, logprobs[i], *layout)
+            ids[i], lp[i], _, _ = _candidates(read(prefix), logprobs[i], *layout)
         flat = np.arange(len(states))[:, None] * size + ids
         end_lp = lp[:, 0]
 
@@ -254,13 +358,10 @@ def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig(
     ends, fin_lp, fin_state = (np.concatenate(part) for part in zip(*finished))
     order = np.lexsort(tuple(ends.T[::-1]) + (-fin_lp, fin_state))
     order = order[_first_per_key(fin_state[order], width)]
-    finalists: dict[int, list[BeamHypothesis]] = {}
-    for i in order.tolist():
-        s = int(fin_state[i])
-        tokens = tuple(t for t in ends[i].tolist() if t >= 0)
-        finalists.setdefault(s, []).append(BeamHypothesis(tokens, float(fin_lp[i]), s))
+    ends, fin_lp, fin_state = ends[order], fin_lp[order], fin_state[order]
+    lps, satisfied = fin_lp.tolist(), [fsm.satisfied_count(s) for s in fin_state.tolist()]
 
-    reached = max((fsm.satisfied_count(s) for s in finalists), default=-1)
+    reached = max(satisfied, default=-1)
     if reached < fsm.min_satisfied and not cfg.min_satisfied_fallback:
         raise NoHypothesisError(
             f"no completed hypothesis satisfies {fsm.min_satisfied} "
@@ -269,20 +370,19 @@ def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig(
     if reached < 0:
         raise NoHypothesisError("no completed hypothesis at any satisfaction tier")
     tier = min(fsm.min_satisfied, reached)
+    rows = [tuple(t for t in row if t >= 0) for row in ends.tolist()]
 
-    def rank(hyp: BeamHypothesis) -> tuple:
-        score = hyp.logprob / len(hyp.tokens) if cfg.length_normalize else hyp.logprob
-        return -score, hyp.tokens
+    def rank(i: int) -> tuple:
+        score = lps[i] / len(rows[i]) if cfg.length_normalize else lps[i]
+        return -score, rows[i]
 
-    best = min(
-        (hyp for s, hyps in finalists.items() if fsm.satisfied_count(s) >= tier for hyp in hyps),
-        key=rank,
-    )
+    best = min((i for i, k in enumerate(satisfied) if k >= tier), key=rank)
+    longest = max(map(len, rows))
     return DecodeResult(
-        tokens=best.tokens,
-        logprob=best.logprob,
-        satisfied_count=fsm.satisfied_count(best.fsm_state),
-        per_state_finalists={s: tuple(hyps) for s, hyps in finalists.items()},
+        tokens=rows[best],
+        logprob=lps[best],
+        satisfied_count=satisfied[best],
+        per_state_finalists=_Finalists(ends[:, :longest].copy(), fin_lp, fin_state),
     )
 
 

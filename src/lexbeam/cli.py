@@ -187,6 +187,8 @@ def _cmd_decode(args: argparse.Namespace, out: TextIO, records: _Records) -> Non
         min_satisfied_fallback=args.fallback == "on",
         length_normalize=args.length_normalize,
     )
+    if args.min_satisfied is not None and args.min_satisfied < 0:
+        raise QuotaRangeError(f"min_satisfied must be non-negative, got {args.min_satisfied}")
     model = BigramModel.load(args.scorer)
     mode = PhraseMatchMode(args.mode)
     for record in records(args.constraints):

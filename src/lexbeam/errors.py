@@ -58,7 +58,18 @@ class DuplicateTokenError(LexbeamError, ValueError):
 
 
 class ScorerContractError(LexbeamError, ValueError):
-    """A scorer returned a row of the wrong shape or with NaN scores."""
+    """A scorer returned a row of the wrong shape or with NaN scores, or
+    a sparse row whose ids are unsorted, repeated, out of range or not
+    as many as its values."""
+
+
+class UnknownPrefixError(LexbeamError, KeyError):
+    """A table scorer has no row for a prefix and no default row."""
+
+
+class MalformedRowError(LexbeamError, ValueError):
+    """A supplied scorer row has the wrong length or is not a proper
+    log-distribution."""
 
 
 class NoHypothesisError(LexbeamError, RuntimeError):

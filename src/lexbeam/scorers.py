@@ -3,7 +3,9 @@
 Both scorers implement the contract the beam decoder expects: a
 ``vocab`` attribute plus ``next_logprobs(prefix)`` returning a proper
 log-distribution (natural log) over the full vocabulary for the next
-token. Returned vectors are read-only; do not mutate them.
+token. :class:`BigramModel` also serves each row in sparse form,
+through ``sparse_logprobs``. Returned arrays are read-only; do not
+mutate them.
 """
 
 from __future__ import annotations
@@ -16,9 +18,11 @@ import numpy as np
 from .errors import (
     EmptyCorpusError,
     MalformedModelError,
+    MalformedRowError,
     MalformedVocabularyError,
     NegativeBigramCountError,
     NonPositiveAlphaError,
+    UnknownPrefixError,
     UnknownTokenError,
 )
 from .vocab import Vocabulary
@@ -35,6 +39,18 @@ class Scorer(Protocol):
     the model, not a setting: declare it only when it holds, as results
     are wrong otherwise. Rows must have shape ``(len(vocab),)`` and hold
     no NaN; the decoder raises :class:`ScorerContractError` otherwise.
+
+    A scorer may also offer ``sparse_logprobs(prefix) -> (default, ids,
+    values)``, the same row as one default plus its exceptions: ``ids``
+    is a sorted integer array of unique token ids, ``values`` their
+    scores, and every id not listed scores ``default``. The decoder then
+    reads only that form and builds each candidate block in
+    O(len(ids) + beam_width), never a row of ``len(vocab)`` floats. The
+    triple must describe the row ``next_logprobs`` returns; the decoder
+    raises :class:`ScorerContractError` on unsorted, repeated or
+    out-of-range ids, on ``ids`` and ``values`` of different lengths,
+    and on NaN. A scorer without it is read as default -inf with every
+    id listed.
     """
 
     vocab: Vocabulary
@@ -43,10 +59,11 @@ class Scorer(Protocol):
 
 
 def assert_normalized(logprobs: np.ndarray, tol: float = 1e-6) -> None:
-    """Raise if ``logprobs`` is not a proper log-distribution."""
+    """Raise :class:`MalformedRowError` if ``logprobs`` is not a proper
+    log-distribution."""
     total = float(np.logaddexp.reduce(logprobs))
     if not abs(total) <= tol:
-        raise ValueError(f"log-probabilities sum to exp({total}), not 1")
+        raise MalformedRowError(f"log-probabilities sum to exp({total}), not 1")
 
 
 def _exact(values: list) -> np.ndarray:
@@ -86,8 +103,11 @@ class BigramModel:
 
     where ``N`` counts the predictable tokens, i.e. every vocabulary
     entry except the start sentinel, which is context-only and has
-    probability zero. Only nonzero counts are stored (CSR, sorted by
-    context then token), plus one default per context: O(V + pairs).
+    probability zero. Each context's row is stored as one default plus
+    its exceptions (CSR, sorted by context then token): the nonzero
+    counts, and a start-sentinel entry at -inf that holds count 0 when
+    the pair was never counted. That is O(V + pairs), and
+    ``sparse_logprobs`` serves a row as slices of it.
     """
 
     context_size = 1
@@ -109,6 +129,10 @@ class BigramModel:
         if not (alpha > 0 and np.isfinite(alpha)):
             raise NonPositiveAlphaError(f"alpha must be > 0, got {alpha}")
         size, bos = len(vocab), vocab.bos_id
+        # Every row lists <s> at -inf: a (v, <s>, 0) triple ahead of the input; a counted pair wins.
+        v = np.concatenate((np.arange(size), v))
+        w = np.concatenate((np.full(size, bos), w))
+        c = np.concatenate((np.zeros(size, dtype=c.dtype), c))
         order = np.lexsort((w, v))  # stable: the triples of one pair stay in input order
         v, w = v[order], w[order]
         last = np.ones(len(order), dtype=bool)
@@ -123,14 +147,17 @@ class BigramModel:
                 raise UnknownTokenError(f"count pair ({v[i]}, {w[i]}) out of range")
             raise NegativeBigramCountError(f"negative count for pair ({v[i]}, {w[i]})")
         self.vocab, self.alpha = vocab, float(alpha)
-        nonzero = c != 0  # a zero count scores as the row default
-        v, self._tokens, self._counts = v[nonzero], w[nonzero], c[nonzero]
-        weights = self._counts.astype(np.float64)  # any count type, even past int64, scores in float64
-        totals = np.bincount(v, weights=np.where(self._tokens != bos, weights, 0.0), minlength=size)
+        predicted = w != bos
+        kept = (c != 0) | ~predicted  # a zero count scores as the row default; <s> entries stay
+        v, w, c, predicted = v[kept], w[kept], c[kept], predicted[kept]
+        weights = c.astype(np.float64)  # any count type, even past int64, scores in float64
+        totals = np.bincount(v, weights=np.where(predicted, weights, 0.0), minlength=size)
         logden = np.log(totals + self.alpha * (size - 1))  # <s> is never predicted: out of both terms
-        self._indptr = np.searchsorted(v, np.arange(size + 1))
-        self._logprobs = np.log(weights + self.alpha) - logden[v]
-        self._default = np.log(self.alpha) - logden
+        self._tokens, self._counts = w, c
+        self._logprobs = np.where(predicted, np.log(weights + self.alpha) - logden[v], -np.inf)
+        self._indptr = np.searchsorted(v, np.arange(size + 1)).tolist()
+        self._default = (np.log(self.alpha) - logden).tolist()
+        self._tokens.flags.writeable = self._logprobs.flags.writeable = False
 
     @classmethod
     def fit(
@@ -160,24 +187,30 @@ class BigramModel:
                 counts[(v, w)] = counts.get((v, w), 0) + 1
         return cls(vocab, counts, alpha)
 
-    def next_logprobs(self, prefix: Sequence[int]) -> np.ndarray:
+    def sparse_logprobs(self, prefix: Sequence[int]) -> tuple[float, np.ndarray, np.ndarray]:
+        """The next-token row as ``(default, ids, values)``: read-only
+        slices of the stored row, ``<s>`` listed at -inf."""
         if prefix:
             context = prefix[-1]
             if not 0 <= context < len(self.vocab):
                 raise UnknownTokenError(f"token id {context} out of range")
         else:
             context = self.vocab.bos_id
-        row = np.full(len(self.vocab), self._default[context])
         lo, hi = self._indptr[context], self._indptr[context + 1]
-        row[self._tokens[lo:hi]] = self._logprobs[lo:hi]
-        row[self.vocab.bos_id] = -np.inf
+        return self._default[context], self._tokens[lo:hi], self._logprobs[lo:hi]
+
+    def next_logprobs(self, prefix: Sequence[int]) -> np.ndarray:
+        default, ids, values = self.sparse_logprobs(prefix)
+        row = np.full(len(self.vocab), default)
+        row[ids] = values
         row.flags.writeable = False
         return row
 
     def _triples(self) -> np.ndarray:
-        """The stored ``[v, w, c]`` triples, sorted by (v, w)."""
+        """The stored ``[v, w, c]`` triples with a nonzero count, sorted by (v, w)."""
         contexts = np.repeat(np.arange(len(self.vocab)), np.diff(self._indptr))
-        return np.column_stack((contexts, self._tokens, self._counts))
+        counted = self._counts != 0
+        return np.column_stack((contexts[counted], self._tokens[counted], self._counts[counted]))
 
     def to_json(self) -> dict:
         return {
@@ -218,8 +251,11 @@ class TableScorer:
     """Scorer backed by explicitly supplied distributions.
 
     ``table`` maps exact prefixes (tuples of token ids) to log-prob
-    vectors; ``default`` serves any prefix not listed. Handy for
-    crafting decoding scenarios by hand in tests.
+    vectors; ``default`` serves any prefix not listed, and without it an
+    unlisted prefix raises :class:`UnknownPrefixError`. A row of the
+    wrong length or that is not a log-distribution raises
+    :class:`MalformedRowError`. Handy for crafting decoding scenarios
+    by hand in tests.
     """
 
     def __init__(
@@ -238,7 +274,7 @@ class TableScorer:
     def _freeze(self, row: Sequence[float]) -> np.ndarray:
         arr = np.asarray(row, dtype=np.float64).copy()
         if arr.shape != (len(self.vocab),):
-            raise ValueError(
+            raise MalformedRowError(
                 f"row length {arr.shape} does not match vocabulary size {len(self.vocab)}"
             )
         assert_normalized(arr)
@@ -248,5 +284,5 @@ class TableScorer:
     def next_logprobs(self, prefix: Sequence[int]) -> np.ndarray:
         row = self._table.get(tuple(prefix), self._default)
         if row is None:
-            raise KeyError(f"no distribution for prefix {tuple(prefix)!r}")
+            raise UnknownPrefixError(f"no distribution for prefix {tuple(prefix)!r}")
         return row

@@ -1,7 +1,7 @@
 """Shared test oracles, all deliberately independent of the library's
 FSM/beam/sampler/model-reader/IoU machinery: plain substring scans,
-exhaustive enumeration, full recounts, a per-triple model reader and a
-per-pair overlap suppression."""
+exhaustive enumeration, full recounts, a per-triple model reader, a
+dense candidate-block builder and a per-pair overlap suppression."""
 
 from __future__ import annotations
 
@@ -46,6 +46,22 @@ def sequence_logprob(scorer, seq) -> float:
         lp += float(scorer.next_logprobs(seq[:i])[seq[i]])
     lp += float(scorer.next_logprobs(seq)[scorer.vocab.eos_id])
     return lp
+
+
+def dense_candidates(row, offset, eos, special, plain, width):
+    """One scorer context's candidate block from its full dense row: the
+    end sentinel, the special tokens, the plain tokens strictly above the
+    ``width``-th best plain score (the cut) and the ``width`` smallest ids
+    tied at it, padded with -inf to ``special.size + 2 * width`` columns.
+    Returns the tokens, their scores (``offset`` plus the row's), the cut
+    and the best plain score below it."""
+    rest = row[plain] + offset
+    cut = np.partition(rest, -width)[-width] if plain.size > width else -np.inf
+    top = plain[np.concatenate([np.flatnonzero(rest > cut), np.flatnonzero(rest == cut)[:width]])]
+    tokens = np.concatenate([[eos], special, top, np.full(2 * width - 1 - top.size, eos)])
+    scores = row[tokens] + offset
+    scores[1 + special.size + top.size:] = -np.inf
+    return tokens, scores, cut, np.max(rest, where=rest < cut, initial=-np.inf)
 
 
 def all_sequences(alphabet, max_len):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,12 +9,15 @@ from lexbeam import (
     BigramModel,
     ConstraintGroup,
     DecodeConfig,
+    DecodeResult,
+    PhraseMatchMode,
     TableScorer,
     Vocabulary,
     compile_fsm,
     decode,
     decode_unconstrained,
 )
+from lexbeam.beam import _candidates, _rows
 from lexbeam.errors import (
     LexbeamError,
     NoHypothesisError,
@@ -23,6 +27,7 @@ from lexbeam.errors import (
 
 from helpers import (
     constrained_argmax,
+    dense_candidates,
     groups_to_ids,
     quantised_table,
     random_bigram,
@@ -410,6 +415,19 @@ class _Broken:
         return np.log(np.full(len(self.vocab), 1 / len(self.vocab)))
 
 
+class _BrokenSparse:
+    """Serves ``row`` as the sparse row of the prefix ``(0,)`` and a
+    uniform sparse row otherwise."""
+
+    def __init__(self, vocab, row):
+        self.vocab, self.row = vocab, row
+
+    def sparse_logprobs(self, prefix):
+        if tuple(prefix) == (0,):
+            return self.row
+        return np.log(1 / len(self.vocab)), np.array([0]), np.array([np.log(1 / len(self.vocab))])
+
+
 def test_scorer_contract_violations_raise():
     vocab = Vocabulary(["a", "b"])
     nan_row = np.log(np.full(len(vocab), 1 / len(vocab)))
@@ -418,7 +436,171 @@ def test_scorer_contract_violations_raise():
     for row in (nan_row, long_row, long_row.reshape(1, -1)):
         with pytest.raises(ScorerContractError):
             decode_unconstrained(_Broken(vocab, row), beam_width=4, max_len=3)
+    # sparse rows: (default, ids, values) over ids 0..3
+    half = np.log(0.5)
+    for message, row in [
+        ("not sorted", (half, np.array([3, 2]), np.array([half, half]))),
+        ("not sorted", (half, np.array([2, 2]), np.array([half, half]))),
+        ("not sorted", (half, np.array([-1, 2]), np.array([half, half]))),
+        ("not sorted", (half, np.array([2, 4]), np.array([half, half]))),
+        ("not sorted", (half, np.array([2.0, 3.0]), np.array([half, half]))),
+        ("shape", (half, np.array([2, 3]), np.array([half]))),
+        ("shape", (half, np.array([[2, 3]]), np.array([[half, half]]))),
+        ("NaN", (np.nan, np.array([2, 3]), np.array([half, half]))),
+        ("NaN", (half, np.array([2, 3]), np.array([half, np.nan]))),
+        ("NaN", (np.nan, np.array([], dtype=int), np.array([]))),
+    ]:
+        with pytest.raises(ScorerContractError, match=message):
+            decode_unconstrained(_BrokenSparse(vocab, row), beam_width=4, max_len=3)
+    # an empty list of ids is no violation
+    decode_unconstrained(_BrokenSparse(vocab, (half, [], [])), beam_width=4, max_len=3)
     assert issubclass(ScorerContractError, LexbeamError)
+
+
+def _layout(size, eos, tokens):
+    """The decoder's split of the vocabulary for a machine whose
+    constraint tokens are ``tokens``."""
+    is_plain = np.ones(size, dtype=bool)
+    is_plain[tokens] = is_plain[eos] = False
+    special = np.array([t for t in sorted(set(tokens)) if t != eos], dtype=int)
+    plain = np.setdiff1d(np.arange(size), np.append(tokens, eos))
+    return special, plain, is_plain
+
+
+def test_sparse_blocks_match_the_dense_reference():
+    # the block built from (default, ids, values) equals the block built
+    # from the full row: tokens, scores, cut and lower, row by row
+    rng = random.Random(1414)
+    edges = Counter()
+    for _ in range(400):
+        vocab = Vocabulary([f"w{i}" for i in range(rng.randint(0, 30))])
+        size, eos, bos = len(vocab), vocab.eos_id, vocab.bos_id
+        counts = {
+            (rng.randrange(size), rng.randrange(size)): rng.randrange(0, 4)
+            for _ in range(rng.choice([0, 2, size, 3 * size]))
+        }
+        # with alpha 2**60, count + alpha rounds to alpha: listed values equal the default
+        model = BigramModel(vocab, counts, rng.choice([1e-3, 0.1, 1.0, 2.0**60]))
+        tokens = rng.sample(range(size), rng.randint(0, min(11, size)))
+        special, plain, is_plain = _layout(size, eos, tokens)
+        head = np.append(eos, special)
+        read = _rows(model, size)
+        for width in (1, 3, 5):
+            for prefix in [()] + [(v,) for v in range(size)]:
+                offset = rng.choice([0.0, 0.0, -rng.uniform(0, 40), -(10.0 ** rng.uniform(0, 17))])
+                row = read(prefix)
+                got = _candidates(row, offset, head, plain, is_plain, width)
+                want = dense_candidates(model.next_logprobs(prefix), offset, eos, special, plain, width)
+                assert np.array_equal(got[0], want[0])
+                assert np.array_equal(got[1], want[1])
+                assert (got[2], got[3]) == (want[2], want[3])
+                default, ids, values = row
+                listed = is_plain[ids]
+                edges["listed equals default"] += bool((values[listed] == default).any())
+                edges["<s> counted"] += counts.get(((prefix or (bos,))[-1], bos), 0) > 0
+                edges["fewer listed than width"] += 0 < listed.sum() < width < plain.size
+                edges["plain within width"] += plain.size <= width
+                edges["default at the cut"] += default + offset == want[2]
+    for edge in ("listed equals default", "<s> counted", "fewer listed than width", "plain within width", "default at the cut"):
+        assert edges[edge] >= 50, edges
+
+
+class _TieRows:
+    """A scorer conditioned on the last token whose rows take a few
+    levels, some nudged by one ulp, served as one default plus listed
+    exceptions; ``next_logprobs`` densifies the same rows."""
+
+    context_size = 1
+
+    def __init__(self, rng, vocab):
+        self.vocab = vocab
+        size = len(vocab)
+        levels = [np.log(0.5), np.log(0.25), np.log(0.125), -np.inf]
+        self.rows = []
+        for _ in range(size):
+            ids = sorted(rng.sample(range(size), rng.randint(0, size)))
+            values = [rng.choice(levels) for _ in ids]
+            values = [
+                np.nextafter(v, rng.choice([-np.inf, np.inf])) if v > -np.inf and rng.random() < 0.3 else v
+                for v in values
+            ]
+            self.rows.append((rng.choice(levels), np.array(ids, dtype=int), np.array(values, dtype=float)))
+
+    def sparse_logprobs(self, prefix):
+        return self.rows[prefix[-1] if prefix else self.vocab.bos_id]
+
+    def next_logprobs(self, prefix):
+        default, ids, values = self.sparse_logprobs(prefix)
+        row = np.full(len(self.vocab), default)
+        row[ids] = values
+        return row
+
+
+def _outcome(scorer, fsm, cfg):
+    try:
+        return decode(scorer, fsm, cfg)
+    except NoHypothesisError as exc:
+        return type(exc), str(exc)
+
+
+def test_sparse_decode_matches_the_dense_path():
+    # each problem decoded from sparse rows, and from the dense rows of
+    # the same scorer with its sparse method hidden
+    rng = random.Random(1500)
+    kinds = Counter()
+    for problem in range(1500):
+        vocab = Vocabulary([f"w{i}" for i in range(rng.randint(1, 6))])
+        if problem % 2:
+            scorer = _TieRows(rng, vocab)
+        else:
+            counts = {(rng.randrange(len(vocab)), rng.randrange(len(vocab))): rng.randrange(0, 4) for _ in range(8)}
+            scorer = BigramModel(vocab, counts, rng.choice([1e-3, 0.1, 1.0, 2.0]))
+        groups = random_groups(rng, vocab, max_groups=3, max_phrase_len=2)
+        mode = rng.choice(list(PhraseMatchMode))
+        fsm = compile_fsm(groups, rng.randint(0, len(groups)), vocab, mode)
+        cfg = DecodeConfig(
+            beam_width=rng.randint(1, 8), max_len=rng.randint(1, 7), min_satisfied_fallback=rng.random() < 0.5
+        )
+        sparse = _outcome(scorer, fsm, cfg)
+        assert sparse == _outcome(_Recording(scorer, scorer.context_size), fsm, cfg)
+        kinds[type(sparse).__name__, mode] += 1
+    assert min(kinds.values()) >= 50 and len(kinds) == 4, kinds
+
+
+class _SparseOnly(BigramModel):
+    def next_logprobs(self, prefix):
+        raise AssertionError("the decoder read a dense row")
+
+
+def test_decode_reads_sparse_rows_only_when_offered():
+    corpus = ["a b c", "c a", "b b a c"]
+    vocab = Vocabulary(["a", "b", "c", "d"])
+    model = BigramModel.fit(corpus, alpha=0.5, vocab=vocab)
+    sparse_only = _SparseOnly.fit(corpus, alpha=0.5, vocab=vocab)
+    fsm = compile_fsm([ConstraintGroup("c", (("c", "a"),))], 1, vocab)
+    cfg = DecodeConfig(beam_width=2, max_len=5)
+    assert decode(sparse_only, fsm, cfg) == decode(model, fsm, cfg) == decode(_Recording(model, 1), fsm, cfg)
+    with pytest.raises(AssertionError, match="dense row"):
+        decode(_Recording(sparse_only, 1), fsm, cfg)
+
+
+def test_finalists_share_one_int_object_per_token_id():
+    # ids above 256 are not cached by the interpreter, so without sharing
+    # each finalist would hold its own int objects
+    vocab = Vocabulary([f"w{i}" for i in range(400)])
+    words = [f"w{i}" for i in range(300, 306)]
+    rng = random.Random(5)
+    model = BigramModel.fit([" ".join(rng.choices(words, k=5)) for _ in range(30)], alpha=0.01, vocab=vocab)
+    fsm = compile_fsm([ConstraintGroup("a", (("w301",),))], 1, vocab)
+    result = decode(model, fsm, DecodeConfig(beam_width=4, max_len=6))
+    objects: dict[int, set[int]] = {}
+    for hyps in result.per_state_finalists.values():
+        for hyp in hyps:
+            for t in hyp.tokens:
+                objects.setdefault(t, set()).add(id(t))
+    assert sum(len(hyps) for hyps in result.per_state_finalists.values()) > 4
+    assert max(objects) > 256
+    assert all(len(ids) == 1 for ids in objects.values()), objects
 
 
 def test_config_validation():
@@ -513,3 +695,22 @@ def test_concurrent_decodes_share_one_fsm_and_scorer():
     # compiled tables are immutable
     with pytest.raises(ValueError):
         fsm.table[0, 0] = 1
+
+
+def test_finalists_read_as_one_mapping_built_once():
+    rng = random.Random(23)
+    vocab = Vocabulary([f"w{i}" for i in range(6)])
+    model = random_bigram(rng, vocab)
+    fsm = compile_fsm(random_groups(rng, vocab, max_groups=2, max_phrase_len=2), 1, vocab)
+    result = decode(model, fsm, DecodeConfig(beam_width=3, max_len=5))
+    finalists = result.per_state_finalists
+    built = dict(finalists)
+    assert len(built) > 1 and list(built) == sorted(built)
+    assert all(finalists[s] is hyps for s, hyps in built.items())
+    assert repr(finalists) == repr(built)
+    # equal to a result holding a plain dict, both ways round
+    plain = DecodeResult(result.tokens, result.logprob, result.satisfied_count, built)
+    assert plain == result and result == plain
+    assert hash(plain) == hash(result)
+    with pytest.raises(TypeError):
+        finalists[0] = ()

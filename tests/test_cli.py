@@ -646,6 +646,17 @@ def test_filter_rejects_boxes_without_a_positive_finite_area(run, tmp_path, box)
     assert (payload["error"], payload["line"]) == ("DegenerateBoxError", 1)
 
 
+@pytest.mark.parametrize("records", ["", constraints_line("dog", "park") + "\n"], ids=["empty", "one-record"])
+def test_decode_rejects_a_negative_min_satisfied_before_reading(run, tmp_path, scorer_file, records):
+    # checked per record by the compiler, it exited 0 on an empty file and
+    # blamed line 1 on a one-record file
+    path = tmp_path / "constraints.jsonl"
+    path.write_text(records)
+    code, out, err = run("decode", "--scorer", scorer_file, "--min-satisfied", "-2", "--constraints", str(path))
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "QuotaRangeError", "message": "min_satisfied must be non-negative, got -2"}
+
+
 @pytest.mark.parametrize("records", ["", "{}\n"])
 def test_filter_rejects_a_negative_min_satisfied_before_reading(run, tmp_path, records):
     path = tmp_path / "detections.jsonl"

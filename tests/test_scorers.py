@@ -9,8 +9,11 @@ import pytest
 from lexbeam import BigramModel, TableScorer, Vocabulary
 from lexbeam.errors import (
     EmptyCorpusError,
+    LexbeamError,
     MalformedModelError,
+    MalformedRowError,
     NonPositiveAlphaError,
+    UnknownPrefixError,
     UnknownTokenError,
 )
 from lexbeam.scorers import assert_normalized
@@ -340,18 +343,46 @@ def test_table_scorer_lookup_and_default(vocab):
     assert scorer.next_logprobs([])[vocab.eos_id] == 0.0
     assert np.array_equal(scorer.next_logprobs([2]), uniform)
     strict = TableScorer(vocab, {(): eos_only})
-    with pytest.raises(KeyError):
+    with pytest.raises(UnknownPrefixError, match=r"no distribution for prefix \(2,\)") as info:
         strict.next_logprobs([2])
+    assert isinstance(info.value, KeyError) and isinstance(info.value, LexbeamError)
 
 
 def test_table_scorer_validates_rows(vocab):
-    with pytest.raises(ValueError):
-        TableScorer(vocab, {(): np.zeros(len(vocab))})  # sums to len(vocab)
-    with pytest.raises(ValueError):
-        TableScorer(vocab, {(): np.log(np.full(3, 1 / 3))})  # wrong length
+    for table in (
+        {(): np.zeros(len(vocab))},  # sums to len(vocab)
+        {(): np.log(np.full(3, 1 / 3))},  # wrong length
+    ):
+        with pytest.raises(MalformedRowError) as info:
+            TableScorer(vocab, table)
+        assert isinstance(info.value, ValueError) and isinstance(info.value, LexbeamError)
 
 
 def test_assert_normalized_tolerance():
     assert_normalized(np.log(np.full(4, 0.25)))
-    with pytest.raises(ValueError):
+    with pytest.raises(MalformedRowError) as info:
         assert_normalized(np.log(np.full(4, 0.3)))
+    assert isinstance(info.value, ValueError)
+
+
+def test_sparse_rows_densify_to_the_dense_rows():
+    # the start sentinel is listed at -inf in every row, counted or not,
+    # and an unlisted id scores the row default
+    rng = random.Random(17)
+    for _ in range(40):
+        vocab = Vocabulary([f"w{i}" for i in range(rng.randint(0, 7))])
+        size = len(vocab)
+        counts = {(rng.randrange(size), rng.randrange(size)): rng.randrange(0, 4) for _ in range(rng.randint(0, 30))}
+        model = BigramModel(vocab, counts, rng.choice([1e-3, 0.5, 2.0]))
+        for prefix in [()] + [(v,) for v in range(size)]:
+            default, ids, values = model.sparse_logprobs(prefix)
+            assert ids.tolist() == sorted(set(ids.tolist()))
+            assert vocab.bos_id in ids.tolist() and values[ids.tolist().index(vocab.bos_id)] == -np.inf
+            row = np.full(size, default)
+            row[ids] = values
+            assert row.tobytes() == model.next_logprobs(prefix).tobytes()
+            with pytest.raises(ValueError):
+                ids[0] = 1
+            with pytest.raises(ValueError):
+                values[0] = 0.0
+        assert model.to_json()["counts"] == [[v, w, c] for (v, w), c in sorted(counts.items()) if c]
