@@ -53,6 +53,11 @@ the search cheap:
   context's block holds the hypothesis's candidates, except where
   rounding makes a lower raw score tie the cut; that hypothesis rebuilds
   its block from its row, shifted by its logprob.
+* Each row puts ``beam_width`` candidates scoring at least its
+  ``logprob + cut`` into its mask state, so a candidate scoring below
+  the largest such sum of its target state (the floor) cannot survive
+  there and is dropped before the selection sort. Ties with the floor
+  are kept, so the tie-break is untouched.
 * A finisher below the ``beam_width``-th best earlier finisher of its
   state is dropped at once, so stored finishers stay near
   ``beam_width`` per state.
@@ -60,7 +65,6 @@ the search cheap:
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 
@@ -177,6 +181,25 @@ def _first_per_key(keys: np.ndarray, width: int) -> np.ndarray:
     return np.arange(len(keys)) - np.searchsorted(keys, keys) < width
 
 
+def _survivors(lp: np.ndarray, target: np.ndarray, bound: np.ndarray, n_states: int) -> np.ndarray:
+    """Flat indices of the candidates that can still be among their
+    target state's best.
+
+    ``lp`` and ``target`` hold the candidates' scores and target states,
+    one block per hypothesis, and the block of row i puts at least
+    ``beam_width`` candidates scoring ``bound[i]`` or more into its mask
+    state, the target of its last (plain) column. A candidate below the
+    largest such bound of its target has ``beam_width`` better ones there
+    and cannot survive; one tied with it is kept for the token-order
+    tie-break. The first column, the end sentinel, never extends a row.
+    """
+    floor = np.full(n_states, -np.inf)
+    np.maximum.at(floor, target[:, -1], bound)
+    live = (lp > -np.inf) & (lp >= floor[target])
+    live[:, 0] = False
+    return np.flatnonzero(live)
+
+
 def _rows(scorer: Scorer, size: int):
     """A reader of the scorer's rows as checked ``(default, ids, values)``
     triples: through ``sparse_logprobs`` when the scorer offers it, else
@@ -200,8 +223,8 @@ def _rows(scorer: Scorer, size: int):
             raise ScorerContractError(
                 f"scorer row ids for prefix {prefix!r} are not sorted unique integers in [0, {size})"
             )
-        if math.isnan(default) or np.isnan(values).any():
-            raise ScorerContractError(f"scorer returned NaN for prefix {prefix!r}")
+        if not (default < np.inf and (values < np.inf).all()):
+            raise ScorerContractError(f"scorer returned NaN or +inf for prefix {prefix!r}")
         return default, ids, values
 
     return read
@@ -262,8 +285,8 @@ def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig(
     cannot be met and the fallback is disabled, or when no hypothesis
     finishes with a nonzero probability. Raises
     :class:`ScorerContractError` when a scorer row has the wrong shape
-    or holds NaN, or a sparse row's ids are unsorted, repeated or out of
-    range.
+    or holds NaN or +inf, or a sparse row's ids are unsorted, repeated
+    or out of range.
     """
     vocab = scorer.vocab
     if len(vocab) != fsm.vocab_size:
@@ -277,13 +300,18 @@ def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig(
     is_plain = np.ones(size, dtype=bool)
     is_plain[fsm.tokens] = is_plain[eos] = False
     plain = np.flatnonzero(is_plain)
-    layout = (np.append(eos, special), plain, is_plain, width)
+    head = np.append(eos, special)
+    layout = (head, plain, is_plain, width)
     read = _rows(scorer, size)
+    # Every block has the same layout, so one column map routes them all.
+    cols = np.concatenate((fsm.columns[head], np.full(2 * width - 1, -1)))
 
     context = getattr(scorer, "context_size", None)
-    # Contexts scored so far in this call: key -> index into ``blocks``.
+    # Contexts scored so far in this call: key -> row of the ``stack`` arrays
+    # (the blocks' tokens and scores, their cuts and their best scores below).
     keys: dict[tuple[int, ...], int] = {}
-    blocks: list[tuple] = []
+    empty = (np.empty((0, cols.size), dtype=np.intp), np.empty((0, cols.size)), np.empty(0), np.empty(0))
+    stack = empty
 
     # Row i holds hypothesis i's tokens, padded with -1 past its length.
     seqs = np.full((1, cfg.max_len + 1), -1, dtype=np.int32)
@@ -298,17 +326,20 @@ def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig(
     for step in range(cfg.max_len + 1):
         if context is None:
             keys.clear()
-            blocks.clear()
+            stack = empty
         start = 0 if context is None else max(0, step - context)
         ctx = np.empty(len(states), dtype=np.intp)
+        blocks = []
         for i, key in enumerate(map(tuple, seqs[:, start:step].tolist())):
             c = keys.get(key)
             if c is None:
-                c = keys[key] = len(blocks)
+                c = keys[key] = len(keys)
                 prefix = tuple(seqs[i, :step].tolist())
                 blocks.append(_candidates(read(prefix), 0.0, *layout))
             ctx[i] = c
-        ids, scores, cut, lower = (np.array(part)[ctx] for part in zip(*blocks))
+        if blocks:
+            stack = tuple(np.concatenate((old, new)) for old, new in zip(stack, zip(*blocks)))
+        ids, scores, cut, lower = (part[ctx] for part in stack)
         lp = logprobs[:, None] + scores
         # fl(L + x) never decreases as x grows, so ``logprobs + cut`` is each
         # row's ``width``-th best plain score, and a raw value below the cut
@@ -318,12 +349,11 @@ def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig(
         for i in np.flatnonzero(tied).tolist():
             prefix = tuple(seqs[i, :step].tolist())
             ids[i], lp[i], _, _ = _candidates(read(prefix), logprobs[i], *layout)
-        flat = np.arange(len(states))[:, None] * size + ids
-        end_lp = lp[:, 0]
+        target = fsm.table[states[:, None], cols]
+        end_lp, end_state = lp[:, 0], target[:, 0]
 
         # A finisher scoring below the ``width``-th best earlier finisher
         # of its state can never be a finalist, so it is not kept.
-        end_state = fsm.targets(states, eos)
         done = (end_lp > -np.inf) & (end_lp >= bar[end_state])
         ends = seqs[done]
         ends[:, step] = eos
@@ -338,10 +368,11 @@ def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig(
         if step == cfg.max_len:
             break
 
-        lp, flat = lp[:, 1:].ravel(), flat[:, 1:].ravel()
-        alive = lp > -np.inf
-        lp, flat = lp[alive], flat[alive]
-        target = fsm.targets(states[flat // size], flat % size)
+        # Each row's ``width`` best plain candidates score at least
+        # ``logprobs + cut``; a rebuilt row's too, as its cut is that sum.
+        at = _survivors(lp, target, logprobs + cut, fsm.state_count)
+        lp, target = lp.take(at), target.take(at)
+        flat = at // cols.size * size + ids.take(at)
         order = np.lexsort((flat, -lp, target))
         keep = order[_first_per_key(target[order], width)]
         if not keep.size:
@@ -378,11 +409,12 @@ def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig(
 
     best = min((i for i, k in enumerate(satisfied) if k >= tier), key=rank)
     longest = max(map(len, rows))
+    narrow = np.int16 if size < 2**15 else np.int32
     return DecodeResult(
         tokens=rows[best],
         logprob=lps[best],
         satisfied_count=satisfied[best],
-        per_state_finalists=_Finalists(ends[:, :longest].copy(), fin_lp, fin_state),
+        per_state_finalists=_Finalists(ends[:, :longest].astype(narrow), fin_lp, fin_state),
     )
 
 

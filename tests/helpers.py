@@ -1,7 +1,9 @@
 """Shared test oracles, all deliberately independent of the library's
 FSM/beam/sampler/model-reader/IoU machinery: plain substring scans,
 exhaustive enumeration, full recounts, a per-triple model reader, a
-dense candidate-block builder and a per-pair overlap suppression."""
+dense candidate-block builder, a plain one-beam-per-state search (which
+reads only the compiled FSM's table) and a per-pair overlap
+suppression."""
 
 from __future__ import annotations
 
@@ -12,8 +14,14 @@ import random
 
 import numpy as np
 
-from lexbeam import BigramModel, ConstraintGroup, TableScorer, Vocabulary
-from lexbeam.errors import MalformedModelError, NegativeBigramCountError, NonPositiveAlphaError, UnknownTokenError
+from lexbeam import BeamHypothesis, BigramModel, ConstraintGroup, DecodeResult, TableScorer, Vocabulary
+from lexbeam.errors import (
+    MalformedModelError,
+    NegativeBigramCountError,
+    NoHypothesisError,
+    NonPositiveAlphaError,
+    UnknownTokenError,
+)
 from lexbeam.sampling import POOL_KEYS, SampleStep, SelectionState
 
 
@@ -62,6 +70,58 @@ def dense_candidates(row, offset, eos, special, plain, width):
     scores = row[tokens] + offset
     scores[1 + special.size + top.size:] = -np.inf
     return tokens, scores, cut, np.max(rest, where=rest < cut, initial=-np.inf)
+
+
+def reference_decode(scorer, fsm, cfg):
+    """Plain-Python constrained beam search with one beam per FSM state:
+    every live hypothesis is extended by every token but the end
+    sentinel, through the scorer's dense rows, and each target state
+    keeps its ``cfg.beam_width`` best by ``(-logprob, tokens)``. No
+    candidate blocks, no floor and no early finisher cut; every finite
+    finisher is kept until each state's best are chosen the same way.
+    Returns a ``DecodeResult`` with a plain dict of finalists, or raises
+    ``NoHypothesisError`` with the library's messages."""
+    size, eos, width = len(scorer.vocab), scorer.vocab.eos_id, cfg.beam_width
+    table, columns = fsm.table.tolist(), fsm.columns.tolist()
+    live = [((), fsm.initial_state, 0.0)]
+    finished = []
+    for step in range(cfg.max_len + 1):
+        beams = {}
+        for tokens, state, lp in live:
+            row = [float(x) for x in scorer.next_logprobs(tokens)]
+            if lp + row[eos] > -math.inf:
+                finished.append((tokens + (eos,), table[state][columns[eos]], lp + row[eos]))
+            if step < cfg.max_len:
+                for tok in range(size):
+                    if tok != eos and lp + row[tok] > -math.inf:
+                        target = table[state][columns[tok]]
+                        beams.setdefault(target, []).append((tokens + (tok,), target, lp + row[tok]))
+        live = [hyp for hyps in beams.values() for hyp in sorted(hyps, key=lambda h: (-h[2], h[0]))[:width]]
+        if not live:
+            break
+    per_state = {}
+    for tokens, state, lp in sorted(finished, key=lambda h: (h[1], -h[2], h[0])):
+        if len(per_state.setdefault(state, [])) < width:
+            per_state[state].append(BeamHypothesis(tokens, lp, state))
+    finalists = [hyp for hyps in per_state.values() for hyp in hyps]
+    reached = max((fsm.satisfied_count(hyp.fsm_state) for hyp in finalists), default=-1)
+    if reached < fsm.min_satisfied and not cfg.min_satisfied_fallback:
+        raise NoHypothesisError(
+            f"no completed hypothesis satisfies {fsm.min_satisfied} "
+            f"constraint(s) within {cfg.max_len} tokens"
+        )
+    if reached < 0:
+        raise NoHypothesisError("no completed hypothesis at any satisfaction tier")
+    tier = min(fsm.min_satisfied, reached)
+
+    def rank(hyp):
+        score = hyp.logprob / len(hyp.tokens) if cfg.length_normalize else hyp.logprob
+        return -score, hyp.tokens
+
+    best = min((hyp for hyp in finalists if fsm.satisfied_count(hyp.fsm_state) >= tier), key=rank)
+    return DecodeResult(
+        best.tokens, best.logprob, fsm.satisfied_count(best.fsm_state), {s: tuple(h) for s, h in per_state.items()}
+    )
 
 
 def all_sequences(alphabet, max_len):

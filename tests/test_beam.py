@@ -17,6 +17,7 @@ from lexbeam import (
     decode,
     decode_unconstrained,
 )
+from lexbeam import beam
 from lexbeam.beam import _candidates, _rows
 from lexbeam.errors import (
     LexbeamError,
@@ -32,6 +33,7 @@ from helpers import (
     quantised_table,
     random_bigram,
     random_groups,
+    reference_decode,
     scan_satisfied,
     sequence_logprob,
 )
@@ -433,7 +435,8 @@ def test_scorer_contract_violations_raise():
     nan_row = np.log(np.full(len(vocab), 1 / len(vocab)))
     nan_row[vocab.id("a")] = np.nan
     long_row = np.log(np.full(len(vocab) + 1, 1 / (len(vocab) + 1)))
-    for row in (nan_row, long_row, long_row.reshape(1, -1)):
+    inf_row = np.array([-np.inf, np.log(0.5), np.inf, np.log(0.5)])
+    for row in (nan_row, inf_row, long_row, long_row.reshape(1, -1)):
         with pytest.raises(ScorerContractError):
             decode_unconstrained(_Broken(vocab, row), beam_width=4, max_len=3)
     # sparse rows: (default, ids, values) over ids 0..3
@@ -449,6 +452,8 @@ def test_scorer_contract_violations_raise():
         ("NaN", (np.nan, np.array([2, 3]), np.array([half, half]))),
         ("NaN", (half, np.array([2, 3]), np.array([half, np.nan]))),
         ("NaN", (np.nan, np.array([], dtype=int), np.array([]))),
+        ("[+]inf", (np.inf, np.array([0]), np.array([-np.inf]))),
+        ("[+]inf", (-np.inf, np.array([0, 1, 2, 3]), np.array([-np.inf, half, np.inf, half]))),
     ]:
         with pytest.raises(ScorerContractError, match=message):
             decode_unconstrained(_BrokenSparse(vocab, row), beam_width=4, max_len=3)
@@ -567,6 +572,62 @@ def test_sparse_decode_matches_the_dense_path():
     assert min(kinds.values()) >= 50 and len(kinds) == 4, kinds
 
 
+def _reference_outcome(scorer, fsm, cfg):
+    try:
+        return reference_decode(scorer, fsm, cfg)
+    except NoHypothesisError as exc:
+        return type(exc), str(exc)
+
+
+def test_decode_matches_the_reference_search(monkeypatch):
+    # the whole result, finalists included, against a plain search with
+    # no blocks and no floor; the floor has to drop candidates in many
+    # problems, and the rounding-tie rebuild has to run
+    survivors, candidates = beam._survivors, beam._candidates
+    seen = Counter()
+
+    def counted_survivors(lp, target, bound, n_states):
+        at = survivors(lp, target, bound, n_states)
+        seen["dropped"] += int((lp[:, 1:] > -np.inf).sum()) - at.size
+        return at
+
+    def counted_candidates(row, offset, *layout):
+        seen["rebuilt"] += offset != 0.0  # a rebuilt row's logprob is never 0
+        return candidates(row, offset, *layout)
+
+    monkeypatch.setattr(beam, "_survivors", counted_survivors)
+    monkeypatch.setattr(beam, "_candidates", counted_candidates)
+    rng = random.Random(1515)
+    kinds = Counter()
+    problems = 1500
+    for problem in range(problems):
+        vocab = Vocabulary([f"w{i}" for i in range(rng.randint(1, 8))])
+        if problem % 2:
+            scorer = _TieRows(rng, vocab)
+        else:
+            counts = {(rng.randrange(len(vocab)), rng.randrange(len(vocab))): rng.randrange(0, 4) for _ in range(8)}
+            scorer = BigramModel(vocab, counts, rng.choice([1e-3, 0.1, 1.0, 2.0]))
+        groups = random_groups(rng, vocab, max_groups=3, max_phrase_len=2)
+        mode = rng.choice(list(PhraseMatchMode))
+        fsm = compile_fsm(groups, rng.randint(0, len(groups)), vocab, mode)
+        cfg = DecodeConfig(
+            beam_width=rng.randint(1, rng.randint(1, 8)),  # narrow beams more often, where the floor bites
+            max_len=rng.randint(1, 7),
+            min_satisfied_fallback=rng.random() < 0.5,
+            length_normalize=rng.random() < 0.2,
+        )
+        seen["dropped"] = 0
+        got, want = _outcome(scorer, fsm, cfg), _reference_outcome(scorer, fsm, cfg)
+        assert got == want
+        if isinstance(want, DecodeResult):
+            assert list(got.per_state_finalists) == list(want.per_state_finalists)
+        kinds["floor dropped"] += seen["dropped"] > 0
+        kinds[type(want).__name__, mode] += 1
+    assert kinds["floor dropped"] >= 0.3 * problems, kinds
+    assert seen["rebuilt"] >= 20, seen
+    assert min(kinds[kind, mode] for kind in ("DecodeResult", "tuple") for mode in PhraseMatchMode) >= 50, kinds
+
+
 class _SparseOnly(BigramModel):
     def next_logprobs(self, prefix):
         raise AssertionError("the decoder read a dense row")
@@ -601,6 +662,21 @@ def test_finalists_share_one_int_object_per_token_id():
     assert sum(len(hyps) for hyps in result.per_state_finalists.values()) > 4
     assert max(objects) > 256
     assert all(len(ids) == 1 for ids in objects.values()), objects
+
+
+def test_finalists_keep_token_ids_past_int16():
+    # V > 2**15: the finalists' token matrix cannot be int16
+    vocab = Vocabulary([f"w{i}" for i in range(2**15 + 8)])
+    big = [f"w{i}" for i in range(2**15, 2**15 + 4)]
+    model = BigramModel.fit([" ".join(big), " ".join(big[::-1])], alpha=0.01, vocab=vocab)
+    fsm = compile_fsm([ConstraintGroup("a", ((big[2],),))], 1, vocab)
+    result = decode(model, fsm, DecodeConfig(beam_width=3, max_len=5))
+    assert min(result.tokens[:-1]) >= vocab.id(big[0]) > 2**15
+    for state, hyps in result.per_state_finalists.items():
+        for hyp in hyps:
+            assert all(type(t) is int for t in hyp.tokens)
+            assert fsm.run(hyp.tokens) == state
+            assert hyp.logprob == pytest.approx(sequence_logprob(model, hyp.tokens[:-1]), abs=1e-9)
 
 
 def test_config_validation():
@@ -655,6 +731,42 @@ def test_decode_memory_is_bounded_on_all_tied_contexts():
     # scored, never a candidate per (row, vocabulary token)
     assert peak < 160 * size + 1024 * rows * cfg.beam_width
     assert result.satisfied_count == 2
+
+
+def test_kept_result_retains_narrow_finalist_arrays():
+    import gc
+    import tracemalloc
+
+    # six groups, quota 5, V = 1000: a result kept unread holds its
+    # finalists' token matrix as int16, one logprob and one state each
+    rng = random.Random(7)
+    vocab = Vocabulary([f"w{i}" for i in range(998)])
+    size = len(vocab)
+    counts = {(rng.randrange(size), rng.randrange(2, size)): rng.randrange(1, 9) for _ in range(20_000)}
+    model = BigramModel(vocab, counts, alpha=0.1)
+    words = [f"w{i}" for i in range(2, 40)]
+    groups = [
+        ConstraintGroup(f"g{g}", tuple(tuple(rng.sample(words, rng.randint(1, 3))) for _ in range(2)))
+        for g in range(6)
+    ]
+    fsm = compile_fsm(groups, 5, vocab)
+    cfg = DecodeConfig(beam_width=5, max_len=20)
+    assert size == 1000 and fsm.state_count > 300
+    decode(model, fsm, cfg)  # anything built once per model or machine is built now
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = decode(model, fsm, cfg)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    hyps = [hyp for hyps in result.per_state_finalists.values() for hyp in hyps]
+    longest = max(len(hyp.tokens) for hyp in hyps)
+    # 2 bytes per token slot, at most 8 each for the logprob and the state
+    assert retained <= len(hyps) * (2 * longest + 16) + 4096, (retained, len(hyps), longest)
+    assert len(hyps) > 200 and result.satisfied_count == 5
 
 
 def test_sentinel_tokens_may_appear_in_constraints():
