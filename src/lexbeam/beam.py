@@ -36,7 +36,12 @@ the search cheap:
 * Each scorer context is scored once per call: the scorer runs once
   per distinct key, the last ``scorer.context_size`` tokens of a
   prefix, or the whole prefix when the scorer declares no
-  ``context_size``.
+  ``context_size``. Each live row carries its context's id. A child's
+  key is its parent key's tail (the key without its first token once
+  the key is ``context_size`` long, else the whole key) plus its new
+  token, so the child's context is looked up by the integer code
+  ``tail id * V + token`` in a sorted array of the codes seen so far.
+  Only rows whose code is new read their key in Python.
 * A row is read as "default plus exceptions": ``(default, ids,
   values)`` from ``sparse_logprobs`` when the scorer offers it, else
   the ``next_logprobs`` row as default -inf with every id listed. Every
@@ -70,7 +75,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoHypothesisError, NonPositiveCountError, ScorerContractError, VocabMismatchError
+from .errors import (
+    MalformedConfigError,
+    NoHypothesisError,
+    NonPositiveCountError,
+    ScorerContractError,
+    VocabMismatchError,
+)
 from .fsm import ConstraintFSM, compile_fsm
 from .scorers import Scorer
 
@@ -100,6 +111,10 @@ class DecodeConfig:
     length_normalize: bool = False
 
     def __post_init__(self):
+        for name in ("beam_width", "max_len"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise MalformedConfigError(f"{name} must be an int, got {value!r}")
         if self.beam_width < 1:
             raise NonPositiveCountError("beam_width must be >= 1")
         if self.max_len < 1:
@@ -200,6 +215,15 @@ def _survivors(lp: np.ndarray, target: np.ndarray, bound: np.ndarray, n_states: 
     return np.flatnonzero(live)
 
 
+def _context_size(scorer: Scorer) -> int | None:
+    """The scorer's declared ``context_size``, checked: ``None`` or an
+    ``int`` >= 0 that is not a ``bool``."""
+    context = getattr(scorer, "context_size", None)
+    if context is not None and (not isinstance(context, int) or isinstance(context, bool) or context < 0):
+        raise ScorerContractError(f"scorer context_size must be None or an int >= 0, got {context!r}")
+    return context
+
+
 def _rows(scorer: Scorer, size: int):
     """A reader of the scorer's rows as checked ``(default, ids, values)``
     triples: through ``sparse_logprobs`` when the scorer offers it, else
@@ -285,8 +309,9 @@ def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig(
     cannot be met and the fallback is disabled, or when no hypothesis
     finishes with a nonzero probability. Raises
     :class:`ScorerContractError` when a scorer row has the wrong shape
-    or holds NaN or +inf, or a sparse row's ids are unsorted, repeated
-    or out of range.
+    or holds NaN or +inf, a sparse row's ids are unsorted, repeated or
+    out of range, or the scorer's ``context_size`` is not ``None`` or an
+    ``int`` >= 0.
     """
     vocab = scorer.vocab
     if len(vocab) != fsm.vocab_size:
@@ -306,17 +331,29 @@ def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig(
     # Every block has the same layout, so one column map routes them all.
     cols = np.concatenate((fsm.columns[head], np.full(2 * width - 1, -1)))
 
-    context = getattr(scorer, "context_size", None)
+    context = _context_size(scorer)
     # Contexts scored so far in this call: key -> row of the ``stack`` arrays
-    # (the blocks' tokens and scores, their cuts and their best scores below).
+    # (the blocks' tokens, scores, cuts, best scores below the cut and the
+    # ids of their tails), and tail -> tail id.
     keys: dict[tuple[int, ...], int] = {}
-    empty = (np.empty((0, cols.size), dtype=np.intp), np.empty((0, cols.size)), np.empty(0), np.empty(0))
-    stack = empty
+    tails: dict[tuple[int, ...], int] = {}
+    empty = (
+        np.empty((0, cols.size), dtype=np.intp), np.empty((0, cols.size)), np.empty(0), np.empty(0),
+        np.empty(0, dtype=np.int64),
+    )
+    # The codes ``tail id * size + token`` seen so far, sorted, and the context
+    # each leads to; the last code is a sentinel above every real one.
+    unseen = (np.array([np.iinfo(np.int64).max]), np.array([-1]))
+    stack, (known, known_ctx) = empty, unseen
+    # State ids fit int16 below 2**15 states: half the bytes to gather, and
+    # the selection sort's state key takes numpy's radix path.
+    table = fsm.table.astype(np.int16) if fsm.state_count < 2**15 else fsm.table
 
     # Row i holds hypothesis i's tokens, padded with -1 past its length.
     seqs = np.full((1, cfg.max_len + 1), -1, dtype=np.int32)
     states = np.array([fsm.initial_state])
     logprobs = np.zeros(1)
+    code = np.array([-1])  # the empty prefix's code, unlike any other
     finished: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     # Each state's ``width`` best finisher logprobs so far, and the worst of
     # them once there are ``width``.
@@ -326,20 +363,36 @@ def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig(
     for step in range(cfg.max_len + 1):
         if context is None:
             keys.clear()
-            stack = empty
+            tails.clear()
+            stack, (known, known_ctx) = empty, unseen
         start = 0 if context is None else max(0, step - context)
-        ctx = np.empty(len(states), dtype=np.intp)
-        blocks = []
-        for i, key in enumerate(map(tuple, seqs[:, start:step].tolist())):
-            c = keys.get(key)
-            if c is None:
-                c = keys[key] = len(keys)
-                prefix = tuple(seqs[i, :step].tolist())
-                blocks.append(_candidates(read(prefix), 0.0, *layout))
-            ctx[i] = c
-        if blocks:
-            stack = tuple(np.concatenate((old, new)) for old, new in zip(stack, zip(*blocks)))
-        ids, scores, cut, lower = (part[ctx] for part in stack)
+        # A row's context follows from its parent's tail and its last token,
+        # so only rows with a code not seen before read their key.
+        at = known.searchsorted(code)
+        ctx = known_ctx[at]
+        miss = np.flatnonzero(known[at] != code)
+        if miss.size:
+            fresh: dict[int, int] = {}  # this step's new codes -> their contexts
+            blocks = []
+            for i, k in zip(miss.tolist(), code[miss].tolist()):
+                c = fresh.get(k)
+                if c is None:
+                    key = tuple(seqs[i, start:step].tolist())
+                    c = keys.get(key)  # a known key under a new code only when context_size is 0
+                    if c is None:
+                        c = keys[key] = len(keys)
+                        block = _candidates(read(tuple(seqs[i, :step].tolist())), 0.0, *layout)
+                        tail = key[1:] if len(key) == context else key
+                        blocks.append(block + (tails.setdefault(tail, len(tails)),))
+                    fresh[k] = c
+                ctx[i] = c
+            known = np.concatenate((known, np.fromiter(fresh, np.int64, len(fresh))))
+            known_ctx = np.concatenate((known_ctx, np.fromiter(fresh.values(), np.intp, len(fresh))))
+            order = known.argsort()
+            known, known_ctx = known[order], known_ctx[order]
+            if blocks:
+                stack = tuple(np.concatenate((old, new)) for old, new in zip(stack, zip(*blocks)))
+        ids, scores, cut, lower, tail_id = (part[ctx] for part in stack)
         lp = logprobs[:, None] + scores
         # fl(L + x) never decreases as x grows, so ``logprobs + cut`` is each
         # row's ``width``-th best plain score, and a raw value below the cut
@@ -349,7 +402,7 @@ def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig(
         for i in np.flatnonzero(tied).tolist():
             prefix = tuple(seqs[i, :step].tolist())
             ids[i], lp[i], _, _ = _candidates(read(prefix), logprobs[i], *layout)
-        target = fsm.table[states[:, None], cols]
+        target = table[states[:, None], cols]
         end_lp, end_state = lp[:, 0], target[:, 0]
 
         # A finisher scoring below the ``width``-th best earlier finisher
@@ -382,6 +435,7 @@ def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig(
         seqs = seqs[rows]
         seqs[:, step] = tokens
         states, logprobs = target[keep], lp[keep]
+        code = tail_id[rows] * size + tokens
 
     # Each state keeps its best ``beam_width`` finishers by (-logprob,
     # tokens). No finisher is a prefix of another, as the end sentinel

@@ -60,7 +60,8 @@ class DuplicateTokenError(LexbeamError, ValueError):
 class ScorerContractError(LexbeamError, ValueError):
     """A scorer returned a row of the wrong shape or with NaN scores, or
     a sparse row whose ids are unsorted, repeated, out of range or not
-    as many as its values."""
+    as many as its values, or declares a ``context_size`` that is not
+    ``None`` or an ``int`` >= 0."""
 
 
 class UnknownPrefixError(LexbeamError, KeyError):
@@ -159,6 +160,11 @@ class NonPositiveCountError(LexbeamError, ValueError):
     """A count argument that must be at least 1 is not: ``sample``'s
     ``n_candidates``, ``ngram_stats``'s ``n_max``, or a decode's
     ``beam_width`` or ``max_len``."""
+
+
+class MalformedConfigError(LexbeamError, TypeError):
+    """A decode's ``beam_width`` or ``max_len`` is not an ``int``, or is
+    a ``bool``."""
 
 
 class TargetTooSmallError(LexbeamError, ValueError):

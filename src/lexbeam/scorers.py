@@ -33,12 +33,15 @@ class Scorer(Protocol):
 
     A scorer may also declare an integer class attribute
     ``context_size``: ``next_logprobs(prefix)`` then depends only on
-    ``prefix[-context_size:]``, and the decoder scores each such context
-    once per decode call instead of once per hypothesis. A scorer
-    without it is scored once per distinct prefix. It is a property of
-    the model, not a setting: declare it only when it holds, as results
-    are wrong otherwise. Rows must have shape ``(len(vocab),)`` and hold
-    no NaN; the decoder raises :class:`ScorerContractError` otherwise.
+    the last ``context_size`` tokens of ``prefix`` (on none of them when
+    it is 0), and the decoder scores each such context once per decode
+    call instead of once per hypothesis. A scorer without it, or with it
+    ``None``, is scored once per distinct prefix. Any other value than
+    ``None`` or an ``int`` >= 0 (a ``bool`` included) raises
+    :class:`ScorerContractError`. It is a property of the model, not a
+    setting: declare it only when it holds, as results are wrong
+    otherwise. Rows must have shape ``(len(vocab),)`` and hold no NaN;
+    the decoder raises :class:`ScorerContractError` otherwise.
 
     A scorer may also offer ``sparse_logprobs(prefix) -> (default, ids,
     values)``, the same row as one default plus its exceptions: ``ids``

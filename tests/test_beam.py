@@ -1,4 +1,6 @@
+import itertools
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -21,6 +23,7 @@ from lexbeam import beam
 from lexbeam.beam import _candidates, _rows
 from lexbeam.errors import (
     LexbeamError,
+    MalformedConfigError,
     NoHypothesisError,
     ScorerContractError,
     VocabMismatchError,
@@ -207,6 +210,93 @@ def test_one_scorer_call_per_distinct_context_per_decode():
     # nothing is cached from one call to the next
     assert decode(per_context, fsm, cfg) == reference
     assert [prefix[-1:] for prefix in per_context.prefixes] == scored * 2
+
+
+class _LastTwo:
+    """A table scorer whose row depends on the last two tokens of the
+    prefix (on all of it when shorter): one random row per such tuple,
+    the start sentinel at -inf. Declares no ``context_size``."""
+
+    def __init__(self, rng, vocab):
+        self.vocab = vocab
+        size = len(vocab)
+        predictable = np.arange(size) != vocab.bos_id
+        self.rows = {}
+        for n in range(3):
+            for key in itertools.product(range(size), repeat=n):
+                weights = np.array([rng.random() + 1e-3 for _ in range(size)])[predictable]
+                row = np.full(size, -np.inf)
+                row[predictable] = np.log(weights / weights.sum())
+                self.rows[key] = row
+
+    def next_logprobs(self, prefix):
+        return self.rows[tuple(prefix)[-2:]]
+
+
+def test_one_scorer_call_per_distinct_last_k_tokens():
+    # rows that really depend on the last two tokens, declared with a
+    # context of 2 or 3 tokens or none: contexts sharing a tail (the key
+    # without its first token) lead to the same children, and each
+    # distinct last-k tuple is scored once
+    rng = random.Random(37)
+    vocab = Vocabulary([f"w{i}" for i in range(6)])
+    base = _LastTwo(rng, vocab)
+    calls = Counter()
+    for _ in range(25):
+        groups = random_groups(rng, vocab, max_groups=3, max_phrase_len=2)
+        fsm = compile_fsm(groups, rng.randint(0, len(groups)), vocab, rng.choice(list(PhraseMatchMode)))
+        cfg = DecodeConfig(beam_width=rng.randint(1, 4), max_len=rng.randint(3, 7))
+        want = _reference_outcome(base, fsm, cfg)
+        per_prefix = _Recording(base, None)
+        assert _outcome(per_prefix, fsm, cfg) == want
+        assert len(per_prefix.prefixes) == len(set(per_prefix.prefixes))
+        calls[None] += len(per_prefix.prefixes)
+        for k in (2, 3):
+            per_context = _Recording(base, k)
+            assert _outcome(per_context, fsm, cfg) == want
+            scored = [prefix[-k:] for prefix in per_context.prefixes]
+            assert len(scored) == len(set(scored))
+            assert set(scored) == {prefix[-k:] for prefix in per_prefix.prefixes}
+            calls[k] += len(scored)
+    assert calls[None] > calls[3] > calls[2], calls
+
+
+@pytest.mark.parametrize("context_size", [-1, 1.5, "1", True, False, np.int64(1)])
+def test_context_size_must_be_none_or_a_non_negative_int(context_size):
+    vocab = Vocabulary(["a", "b"])
+    model = BigramModel.fit(["a b", "b a"], vocab=vocab)
+    with pytest.raises(ScorerContractError, match=re.escape(repr(context_size))):
+        decode_unconstrained(_Recording(model, context_size), beam_width=2, max_len=3)
+
+
+def test_context_size_zero_scores_one_row_per_decode():
+    # a row that depends on no token of the prefix
+    rng = random.Random(3)
+    vocab = Vocabulary(["a", "b", "c"])
+    weights = np.array([0.0] + [rng.random() + 0.1 for _ in range(len(vocab) - 1)])
+    with np.errstate(divide="ignore"):
+        scorer = TableScorer(vocab, {}, default=np.log(weights / weights.sum()))
+    fsm = compile_fsm([ConstraintGroup("b", (("b", "c"),))], 1, vocab)
+    cfg = DecodeConfig(beam_width=3, max_len=5)
+    recording = _Recording(scorer, 0)
+    assert decode(recording, fsm, cfg) == reference_decode(scorer, fsm, cfg)
+    assert recording.prefixes == [()]
+
+
+@pytest.mark.parametrize("n_groups", [15, 16])
+def test_decode_past_int16_state_ids_matches_the_reference(n_groups):
+    # one-word groups compile to 2**n_groups states: from 2**15 on,
+    # targets come from the int32 table, and at 2**16 ids pass int16
+    rng = random.Random(n_groups)
+    vocab = Vocabulary([f"w{i}" for i in range(18)])
+    model = random_bigram(rng, vocab)
+    groups = [ConstraintGroup(f"g{g}", ((f"w{g}",),)) for g in range(n_groups)]
+    fsm = compile_fsm(groups, 2, vocab)
+    assert fsm.state_count == 2**n_groups
+    cfg = DecodeConfig(beam_width=1, max_len=3)
+    result = decode(model, fsm, cfg)
+    assert result == reference_decode(model, fsm, cfg)
+    assert max(result.per_state_finalists) >= 2**(n_groups - 1)
 
 
 def test_constraint_guarantee_via_substring_scan():
@@ -684,6 +774,15 @@ def test_config_validation():
         DecodeConfig(beam_width=0)
     with pytest.raises(ValueError):
         DecodeConfig(max_len=0)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("beam_width", 2.5), ("beam_width", "3"), ("beam_width", True), ("max_len", 3.0), ("max_len", False)]
+)
+def test_config_refuses_counts_that_are_not_ints(field, value):
+    with pytest.raises(MalformedConfigError, match=f"{field} must be an int, got {re.escape(repr(value))}") as info:
+        DecodeConfig(**{field: value})
+    assert isinstance(info.value, LexbeamError) and isinstance(info.value, TypeError)
 
 
 def test_decode_at_working_scale_stays_fast():
