@@ -47,7 +47,7 @@ from .sampling import (
     sample,
     tokenize,
 )
-from .scorers import BigramModel, Scorer, TableScorer
+from .scorers import BigramModel, Scorer
 from .vocab import BOS, EOS, Vocabulary
 
 __version__ = "0.1.0"
@@ -74,7 +74,6 @@ __all__ = [
     "SampleStep",
     "Scorer",
     "SelectionState",
-    "TableScorer",
     "Vocabulary",
     "class_entropy",
     "classify_domain",

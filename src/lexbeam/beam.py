@@ -111,10 +111,15 @@ class DecodeConfig:
     length_normalize: bool = False
 
     def __post_init__(self):
-        for name in ("beam_width", "max_len"):
+        for name, kind, noun in (
+            ("beam_width", int, "an int"),
+            ("max_len", int, "an int"),
+            ("min_satisfied_fallback", bool, "a bool"),
+            ("length_normalize", bool, "a bool"),
+        ):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise MalformedConfigError(f"{name} must be an int, got {value!r}")
+            if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+                raise MalformedConfigError(f"{name} must be {noun}, got {value!r}")
         if self.beam_width < 1:
             raise NonPositiveCountError("beam_width must be >= 1")
         if self.max_len < 1:

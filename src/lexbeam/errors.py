@@ -58,19 +58,10 @@ class DuplicateTokenError(LexbeamError, ValueError):
 
 
 class ScorerContractError(LexbeamError, ValueError):
-    """A scorer returned a row of the wrong shape or with NaN scores, or
+    """A scorer returned a row of the wrong shape or with NaN or +inf, or
     a sparse row whose ids are unsorted, repeated, out of range or not
     as many as its values, or declares a ``context_size`` that is not
     ``None`` or an ``int`` >= 0."""
-
-
-class UnknownPrefixError(LexbeamError, KeyError):
-    """A table scorer has no row for a prefix and no default row."""
-
-
-class MalformedRowError(LexbeamError, ValueError):
-    """A supplied scorer row has the wrong length or is not a proper
-    log-distribution."""
 
 
 class NoHypothesisError(LexbeamError, RuntimeError):
@@ -164,7 +155,8 @@ class NonPositiveCountError(LexbeamError, ValueError):
 
 class MalformedConfigError(LexbeamError, TypeError):
     """A decode's ``beam_width`` or ``max_len`` is not an ``int``, or is
-    a ``bool``."""
+    a ``bool``; or its ``min_satisfied_fallback`` or ``length_normalize``
+    is not a ``bool``."""
 
 
 class TargetTooSmallError(LexbeamError, ValueError):

@@ -159,7 +159,7 @@ class ConstraintFSM:
     per state with one column per constraint token and a last column
     holding the state's mask state (the target of every other token),
     and ``columns`` maps each vocabulary id to its column. Immutable
-    once built; :meth:`step`, :meth:`targets`, :meth:`accepting` and
+    once built; :meth:`step`, :meth:`accepting` and
     :meth:`satisfied_count` are pure reads and safe to share across
     threads. Use :func:`compile_fsm` to construct one.
     """
@@ -221,15 +221,11 @@ class ConstraintFSM:
             raise OutOfRangeError(
                 f"token {token} out of range [0, {self.vocab_size})"
             )
-        return int(self.targets(state, token))
+        return int(self.table[state, self.columns[token]])
 
-    def targets(self, states, tokens) -> np.ndarray:
-        """Next states for ``tokens`` read in ``states``, broadcast like numpy indices."""
-        return self.table[states, self.columns[tokens]]
-
-    def run(self, tokens: Iterable[int], state: int | None = None) -> int:
-        """Fold :meth:`step` over ``tokens`` (from the initial state by default)."""
-        cur = self.initial_state if state is None else state
+    def run(self, tokens: Iterable[int]) -> int:
+        """Fold :meth:`step` over ``tokens`` from the initial state."""
+        cur = self.initial_state
         for tok in tokens:
             cur = self.step(cur, tok)
         return cur

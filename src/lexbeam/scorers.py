@@ -1,11 +1,11 @@
-"""Deterministic reference scorers for tests, demos and the CLI.
+"""The scorer contract and the shipped reference scorer.
 
-Both scorers implement the contract the beam decoder expects: a
-``vocab`` attribute plus ``next_logprobs(prefix)`` returning a proper
-log-distribution (natural log) over the full vocabulary for the next
-token. :class:`BigramModel` also serves each row in sparse form,
-through ``sparse_logprobs``. Returned arrays are read-only; do not
-mutate them.
+:class:`Scorer` is what the beam decoder expects: a ``vocab`` attribute
+plus ``next_logprobs(prefix)`` returning a proper log-distribution
+(natural log) over the full vocabulary for the next token.
+:class:`BigramModel`, the deterministic scorer the demos and the CLI
+use, also serves each row in sparse form, through ``sparse_logprobs``.
+Returned arrays are read-only; do not mutate them.
 """
 
 from __future__ import annotations
@@ -18,11 +18,9 @@ import numpy as np
 from .errors import (
     EmptyCorpusError,
     MalformedModelError,
-    MalformedRowError,
     MalformedVocabularyError,
     NegativeBigramCountError,
     NonPositiveAlphaError,
-    UnknownPrefixError,
     UnknownTokenError,
 )
 from .vocab import Vocabulary
@@ -40,8 +38,8 @@ class Scorer(Protocol):
     ``None`` or an ``int`` >= 0 (a ``bool`` included) raises
     :class:`ScorerContractError`. It is a property of the model, not a
     setting: declare it only when it holds, as results are wrong
-    otherwise. Rows must have shape ``(len(vocab),)`` and hold no NaN;
-    the decoder raises :class:`ScorerContractError` otherwise.
+    otherwise. Rows must have shape ``(len(vocab),)`` and hold no NaN or
+    +inf; the decoder raises :class:`ScorerContractError` otherwise.
 
     A scorer may also offer ``sparse_logprobs(prefix) -> (default, ids,
     values)``, the same row as one default plus its exceptions: ``ids``
@@ -52,21 +50,13 @@ class Scorer(Protocol):
     triple must describe the row ``next_logprobs`` returns; the decoder
     raises :class:`ScorerContractError` on unsorted, repeated or
     out-of-range ids, on ``ids`` and ``values`` of different lengths,
-    and on NaN. A scorer without it is read as default -inf with every
-    id listed.
+    and on NaN or +inf. A scorer without it is read as default -inf
+    with every id listed.
     """
 
     vocab: Vocabulary
 
     def next_logprobs(self, prefix: Sequence[int]) -> np.ndarray: ...
-
-
-def assert_normalized(logprobs: np.ndarray, tol: float = 1e-6) -> None:
-    """Raise :class:`MalformedRowError` if ``logprobs`` is not a proper
-    log-distribution."""
-    total = float(np.logaddexp.reduce(logprobs))
-    if not abs(total) <= tol:
-        raise MalformedRowError(f"log-probabilities sum to exp({total}), not 1")
 
 
 def _exact(values: list) -> np.ndarray:
@@ -239,53 +229,7 @@ class BigramModel:
         model._build(vocab, *columns, alpha)
         return model
 
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fp:
-            json.dump(self.to_json(), fp, sort_keys=True)
-            fp.write("\n")
-
     @classmethod
     def load(cls, path: str) -> "BigramModel":
         with open(path, "r", encoding="utf-8") as fp:
             return cls.from_json(json.load(fp))
-
-
-class TableScorer:
-    """Scorer backed by explicitly supplied distributions.
-
-    ``table`` maps exact prefixes (tuples of token ids) to log-prob
-    vectors; ``default`` serves any prefix not listed, and without it an
-    unlisted prefix raises :class:`UnknownPrefixError`. A row of the
-    wrong length or that is not a log-distribution raises
-    :class:`MalformedRowError`. Handy for crafting decoding scenarios
-    by hand in tests.
-    """
-
-    def __init__(
-        self,
-        vocab: Vocabulary,
-        table: Mapping[Sequence[int], Sequence[float]],
-        default: Sequence[float] | None = None,
-    ):
-        self.vocab = vocab
-        self._table = {}
-        for prefix, row in table.items():
-            arr = self._freeze(row)
-            self._table[tuple(prefix)] = arr
-        self._default = None if default is None else self._freeze(default)
-
-    def _freeze(self, row: Sequence[float]) -> np.ndarray:
-        arr = np.asarray(row, dtype=np.float64).copy()
-        if arr.shape != (len(self.vocab),):
-            raise MalformedRowError(
-                f"row length {arr.shape} does not match vocabulary size {len(self.vocab)}"
-            )
-        assert_normalized(arr)
-        arr.flags.writeable = False
-        return arr
-
-    def next_logprobs(self, prefix: Sequence[int]) -> np.ndarray:
-        row = self._table.get(tuple(prefix), self._default)
-        if row is None:
-            raise UnknownPrefixError(f"no distribution for prefix {tuple(prefix)!r}")
-        return row

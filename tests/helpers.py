@@ -3,7 +3,8 @@ FSM/beam/sampler/model-reader/IoU machinery: plain substring scans,
 exhaustive enumeration, full recounts, a per-triple model reader, a
 dense candidate-block builder, a plain one-beam-per-state search (which
 reads only the compiled FSM's table) and a per-pair overlap
-suppression."""
+suppression. Also the fixtures tests build scorers and model files
+with: a table scorer and a model-file writer."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import random
 
 import numpy as np
 
-from lexbeam import BeamHypothesis, BigramModel, ConstraintGroup, DecodeResult, TableScorer, Vocabulary
+from lexbeam import BeamHypothesis, BigramModel, ConstraintGroup, DecodeResult, Vocabulary
 from lexbeam.errors import (
     MalformedModelError,
     NegativeBigramCountError,
@@ -156,6 +157,48 @@ def random_bigram(rng: random.Random, vocab: Vocabulary) -> BigramModel:
     }
     alpha = rng.choice([0.1, 0.5, 1.0, 2.0])
     return BigramModel(vocab, counts, alpha)
+
+
+def assert_normalized(logprobs: np.ndarray, tol: float = 1e-6) -> None:
+    """Raise ``ValueError`` if ``logprobs`` is not a proper log-distribution."""
+    total = float(np.logaddexp.reduce(logprobs))
+    if not abs(total) <= tol:
+        raise ValueError(f"log-probabilities sum to exp({total}), not 1")
+
+
+class TableScorer:
+    """A scorer backed by hand-written rows, for crafting decoding
+    scenarios: ``table`` maps exact prefixes (tuples of token ids) to
+    log-prob rows, and ``default`` serves any prefix not listed. An
+    unlisted prefix with no default raises ``KeyError``; a row of the
+    wrong length or that is not a log-distribution raises ``ValueError``.
+    """
+
+    def __init__(self, vocab: Vocabulary, table, default=None):
+        self.vocab = vocab
+        self._table = {tuple(prefix): self._freeze(row) for prefix, row in table.items()}
+        self._default = None if default is None else self._freeze(default)
+
+    def _freeze(self, row) -> np.ndarray:
+        arr = np.asarray(row, dtype=np.float64).copy()
+        if arr.shape != (len(self.vocab),):
+            raise ValueError(f"row length {arr.shape} does not match vocabulary size {len(self.vocab)}")
+        assert_normalized(arr)
+        arr.flags.writeable = False
+        return arr
+
+    def next_logprobs(self, prefix) -> np.ndarray:
+        row = self._table.get(tuple(prefix), self._default)
+        if row is None:
+            raise KeyError(f"no distribution for prefix {tuple(prefix)!r}")
+        return row
+
+
+def write_model(model: BigramModel, path) -> None:
+    """Write ``model`` as a model file, as the CLI's ``--scorer`` reads it."""
+    with open(path, "w", encoding="utf-8") as fp:
+        json.dump(model.to_json(), fp, sort_keys=True)
+        fp.write("\n")
 
 
 def quantised_table(rng: random.Random, vocab: Vocabulary, max_len: int) -> TableScorer:
@@ -313,7 +356,7 @@ def reference_model_json(obj: dict) -> tuple[list[bytes], str]:
     order (its first occurrence, with its last value), checks each pair
     in a loop and builds every row from the closed form, summing each
     context's float64 counts in token order. Returns the bytes of each
-    context's row and the JSON text that ``save`` writes."""
+    context's row and ``to_json()`` as ``sort_keys`` JSON text."""
     vocab = Vocabulary(obj["vocab"])
     try:
         counts = {(int(v), int(w)): int(c) for v, w, c in obj["counts"]}

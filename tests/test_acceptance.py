@@ -47,6 +47,7 @@ from helpers import (
     random_bigram,
     random_groups,
     scan_satisfied,
+    write_model,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -354,7 +355,7 @@ def test_10_cli_determinism(tmp_path):
         ["the dog ran in the park", "a dog in the park"], alpha=0.5, vocab=vocab
     )
     scorer = tmp_path / "scorer.json"
-    model.save(str(scorer))
+    write_model(model, scorer)
 
     constraints = tmp_path / "constraints.jsonl"
     constraints.write_text(

@@ -13,7 +13,6 @@ from lexbeam import (
     DecodeConfig,
     DecodeResult,
     PhraseMatchMode,
-    TableScorer,
     Vocabulary,
     compile_fsm,
     decode,
@@ -30,6 +29,7 @@ from lexbeam.errors import (
 )
 
 from helpers import (
+    TableScorer,
     constrained_argmax,
     dense_candidates,
     groups_to_ids,
@@ -781,6 +781,14 @@ def test_config_validation():
 )
 def test_config_refuses_counts_that_are_not_ints(field, value):
     with pytest.raises(MalformedConfigError, match=f"{field} must be an int, got {re.escape(repr(value))}") as info:
+        DecodeConfig(**{field: value})
+    assert isinstance(info.value, LexbeamError) and isinstance(info.value, TypeError)
+
+
+@pytest.mark.parametrize("field", ["min_satisfied_fallback", "length_normalize"])
+@pytest.mark.parametrize("value", ["off", "no", 0, 1, None])
+def test_config_refuses_flags_that_are_not_bools(field, value):
+    with pytest.raises(MalformedConfigError, match=f"{field} must be a bool, got {re.escape(repr(value))}") as info:
         DecodeConfig(**{field: value})
     assert isinstance(info.value, LexbeamError) and isinstance(info.value, TypeError)
 

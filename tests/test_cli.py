@@ -28,6 +28,8 @@ import pytest
 from lexbeam import BigramModel, Vocabulary
 from lexbeam.cli import build_parser, main
 
+from helpers import write_model
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -52,7 +54,7 @@ def scorer_file(tmp_path):
     ]
     model = BigramModel.fit(corpus, alpha=0.5, vocab=vocab)
     path = tmp_path / "scorer.json"
-    model.save(str(path))
+    write_model(model, path)
     return str(path)
 
 

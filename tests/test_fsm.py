@@ -35,8 +35,8 @@ def single_word_groups(*words):
 
 
 def dense_table(fsm):
-    """The ``state_count x vocab_size`` transition table, read through ``targets``."""
-    return fsm.targets(np.arange(fsm.state_count)[:, None], np.arange(fsm.vocab_size))
+    """The ``state_count x vocab_size`` transition table: each token's column of ``fsm.table``."""
+    return fsm.table[:, fsm.columns]
 
 
 @pytest.fixture

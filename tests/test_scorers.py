@@ -6,19 +6,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from lexbeam import BigramModel, TableScorer, Vocabulary
+from lexbeam import BigramModel, Vocabulary
 from lexbeam.errors import (
     EmptyCorpusError,
-    LexbeamError,
     MalformedModelError,
-    MalformedRowError,
     NonPositiveAlphaError,
-    UnknownPrefixError,
     UnknownTokenError,
 )
-from lexbeam.scorers import assert_normalized
 
-from helpers import reference_model_json
+from helpers import reference_model_json, write_model
 
 
 @pytest.fixture
@@ -150,7 +146,7 @@ def test_bad_count_pairs_report_the_first_in_input_order(vocab, counts, error, m
 def test_json_roundtrip(tmp_path, vocab):
     model = BigramModel.fit(["a b", "b a"], alpha=0.5, vocab=vocab)
     path = tmp_path / "model.json"
-    model.save(str(path))
+    write_model(model, path)
     loaded = BigramModel.load(str(path))
     assert loaded.vocab == model.vocab
     assert loaded.alpha == model.alpha
@@ -172,7 +168,7 @@ def test_counts_past_int64_are_saved_exactly(tmp_path):
     vocab = Vocabulary(["a", "b"])
     model = BigramModel(vocab, {(2, 3): 2**63, (0, 2): 1}, 1.0)
     path = tmp_path / "model.json"
-    model.save(str(path))
+    write_model(model, path)
     # compared as text: 1.0 == 1 and 9.223372036854776e+18 == 2**63 in Python
     assert '"counts": [[0, 2, 1], [2, 3, 9223372036854775808]]' in path.read_text()
     loaded = BigramModel.load(str(path))
@@ -333,36 +329,6 @@ def test_from_json_memory_holds_no_per_triple_objects():
 def test_malformed_model_files_raise_a_typed_error(obj):
     with pytest.raises(MalformedModelError):
         BigramModel.from_json(obj)
-
-
-def test_table_scorer_lookup_and_default(vocab):
-    uniform = np.log(np.full(len(vocab), 1 / len(vocab)))
-    eos_only = np.full(len(vocab), -np.inf)
-    eos_only[vocab.eos_id] = 0.0
-    scorer = TableScorer(vocab, {(): eos_only}, default=uniform)
-    assert scorer.next_logprobs([])[vocab.eos_id] == 0.0
-    assert np.array_equal(scorer.next_logprobs([2]), uniform)
-    strict = TableScorer(vocab, {(): eos_only})
-    with pytest.raises(UnknownPrefixError, match=r"no distribution for prefix \(2,\)") as info:
-        strict.next_logprobs([2])
-    assert isinstance(info.value, KeyError) and isinstance(info.value, LexbeamError)
-
-
-def test_table_scorer_validates_rows(vocab):
-    for table in (
-        {(): np.zeros(len(vocab))},  # sums to len(vocab)
-        {(): np.log(np.full(3, 1 / 3))},  # wrong length
-    ):
-        with pytest.raises(MalformedRowError) as info:
-            TableScorer(vocab, table)
-        assert isinstance(info.value, ValueError) and isinstance(info.value, LexbeamError)
-
-
-def test_assert_normalized_tolerance():
-    assert_normalized(np.log(np.full(4, 0.25)))
-    with pytest.raises(MalformedRowError) as info:
-        assert_normalized(np.log(np.full(4, 0.3)))
-    assert isinstance(info.value, ValueError)
 
 
 def test_sparse_rows_densify_to_the_dense_rows():
