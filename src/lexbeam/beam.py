@@ -50,9 +50,9 @@ the search cheap:
   the cut the tokens it adds are the smallest unlisted plain ids: a
   context costs O(listed ids + ``beam_width``), not O(V).
 * Each context keeps a fixed-width block, never its row: the end
-  sentinel, the special tokens and at most ``2 * beam_width - 1`` plain
-  tokens (fewer than ``beam_width`` above the cut, then the
-  ``beam_width`` smallest ids at it), padded with -inf. Nothing
+  sentinel, the special tokens and at most ``min(2 * beam_width - 1,
+  plain count)`` plain tokens (fewer than ``beam_width`` above the cut,
+  then the ``beam_width`` smallest ids at it), padded with -inf. Nothing
   outlives the step when the key is the whole prefix.
 * Adding a hypothesis logprob to raw scores keeps their order, so the
   context's block holds the hypothesis's candidates, except where
@@ -268,8 +268,9 @@ def _candidates(
     the ``width``-th best plain score (the cut) and the best plain score
     below it. The block is ``head`` (the end sentinel, then the special
     tokens), the plain tokens strictly above the cut and the ``width``
-    smallest ids tied at it, padded with -inf to ``head.size + 2 * width
-    - 1`` columns. Every plain token the row does not list scores the
+    smallest ids tied at it, padded with -inf to ``head.size + min(2 *
+    width - 1, max(plain.size, 1))`` columns, the last one always plain
+    (or padding). Every plain token the row does not list scores the
     default, so ``width`` of them stand in for all of them: in the cut,
     and, when the default reaches the cut, as the smallest unlisted
     plain ids.
@@ -294,7 +295,7 @@ def _candidates(
         else:
             tied = np.sort(np.concatenate((tied, free)))
     top = np.concatenate((above, tied[:width]))
-    pad = 2 * width - 1 - top.size
+    pad = min(2 * width - 1, max(plain.size, 1)) - top.size
     tokens = np.concatenate((head, top, head[:1].repeat(pad)))  # padded with the end sentinel
     if ids.size:
         at = ids.searchsorted(tokens)
@@ -334,7 +335,7 @@ def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig(
     layout = (head, plain, is_plain, width)
     read = _rows(scorer, size)
     # Every block has the same layout, so one column map routes them all.
-    cols = np.concatenate((fsm.columns[head], np.full(2 * width - 1, -1)))
+    cols = np.concatenate((fsm.columns[head], np.full(min(2 * width - 1, max(plain.size, 1)), -1)))
 
     context = _context_size(scorer)
     # Contexts scored so far in this call: key -> row of the ``stack`` arrays
@@ -350,12 +351,9 @@ def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig(
     # each leads to; the last code is a sentinel above every real one.
     unseen = (np.array([np.iinfo(np.int64).max]), np.array([-1]))
     stack, (known, known_ctx) = empty, unseen
-    # State ids fit int16 below 2**15 states: half the bytes to gather, and
-    # the selection sort's state key takes numpy's radix path.
-    table = fsm.table.astype(np.int16) if fsm.state_count < 2**15 else fsm.table
 
     # Row i holds hypothesis i's tokens, padded with -1 past its length.
-    seqs = np.full((1, cfg.max_len + 1), -1, dtype=np.int32)
+    seqs = np.full((1, cfg.max_len + 1), -1, dtype=np.int16 if size < 2**15 else np.int32)
     states = np.array([fsm.initial_state])
     logprobs = np.zeros(1)
     code = np.array([-1])  # the empty prefix's code, unlike any other
@@ -407,7 +405,7 @@ def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig(
         for i in np.flatnonzero(tied).tolist():
             prefix = tuple(seqs[i, :step].tolist())
             ids[i], lp[i], _, _ = _candidates(read(prefix), logprobs[i], *layout)
-        target = table[states[:, None], cols]
+        target = fsm.table[states[:, None], cols]
         end_lp, end_state = lp[:, 0], target[:, 0]
 
         # A finisher scoring below the ``width``-th best earlier finisher
@@ -448,10 +446,11 @@ def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig(
     ends, fin_lp, fin_state = (np.concatenate(part) for part in zip(*finished))
     order = np.lexsort(tuple(ends.T[::-1]) + (-fin_lp, fin_state))
     order = order[_first_per_key(fin_state[order], width)]
-    ends, fin_lp, fin_state = ends[order], fin_lp[order], fin_state[order]
-    lps, satisfied = fin_lp.tolist(), [fsm.satisfied_count(s) for s in fin_state.tolist()]
+    length = (ends >= 0).sum(1)[order]
+    ends, fin_lp, fin_state = ends[order, :length.max(initial=0)], fin_lp[order], fin_state[order]
+    satisfied = np.array([fsm.satisfied_count(s) for s in fin_state.tolist()], dtype=int)
 
-    reached = max(satisfied, default=-1)
+    reached = satisfied.max(initial=-1)
     if reached < fsm.min_satisfied and not cfg.min_satisfied_fallback:
         raise NoHypothesisError(
             f"no completed hypothesis satisfies {fsm.min_satisfied} "
@@ -459,21 +458,15 @@ def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig(
         )
     if reached < 0:
         raise NoHypothesisError("no completed hypothesis at any satisfaction tier")
-    tier = min(fsm.min_satisfied, reached)
-    rows = [tuple(t for t in row if t >= 0) for row in ends.tolist()]
-
-    def rank(i: int) -> tuple:
-        score = lps[i] / len(rows[i]) if cfg.length_normalize else lps[i]
-        return -score, rows[i]
-
-    best = min((i for i, k in enumerate(satisfied) if k >= tier), key=rank)
-    longest = max(map(len, rows))
-    narrow = np.int16 if size < 2**15 else np.int32
+    # The best finisher at or above the tier by (-score, tokens).
+    eligible = np.flatnonzero(satisfied >= min(fsm.min_satisfied, reached))
+    score = fin_lp[eligible] / length[eligible] if cfg.length_normalize else fin_lp[eligible]
+    best = eligible[np.lexsort(tuple(ends[eligible].T[::-1]) + (-score,))[0]]
     return DecodeResult(
-        tokens=rows[best],
-        logprob=lps[best],
-        satisfied_count=satisfied[best],
-        per_state_finalists=_Finalists(ends[:, :longest].astype(narrow), fin_lp, fin_state),
+        tokens=tuple(ends[best, :length[best]].tolist()),
+        logprob=fin_lp[best].item(),
+        satisfied_count=satisfied[best].item(),
+        per_state_finalists=_Finalists(ends, fin_lp, fin_state),
     )
 
 

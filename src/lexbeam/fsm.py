@@ -52,7 +52,8 @@ Only the *constraint tokens*, those occurring in some alternative, can
 move a state anywhere but its own mask state. The table therefore has
 one column per constraint token plus a last, default column holding
 each state's mask state, the target of every other token; a length-V
-map sends each token id to its column.
+map sends each token id to its column. Its state ids are int16 below
+2**15 states and int32 from there on, 2 or 4 bytes per entry.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ from .vocab import Vocabulary
 
 MAX_GROUPS = 16
 # Admits every 16-group machine of one word and one two-word phrase per
-# group: 589 824 states x 49 columns, a 110 MiB table.
+# group: 589 824 states x 49 int32 columns, a 110 MiB table.
 MAX_TABLE_BYTES = 1 << 28
 
 
@@ -130,6 +131,13 @@ class ConstraintGroup:
         }
 
 
+def _quota(k) -> int:
+    """``k`` as a ``min_satisfied``: an ``int`` that is not a ``bool``."""
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise MalformedGroupError(f"min_satisfied must be an integer, got {k!r}")
+    return k
+
+
 def load_constraints(obj: dict) -> tuple[list[ConstraintGroup], int]:
     """Parse a constraint record ``{"min_satisfied": k, "groups": [...]}``.
 
@@ -140,11 +148,7 @@ def load_constraints(obj: dict) -> tuple[list[ConstraintGroup], int]:
         raise MalformedGroupError("a constraint record must be a JSON object whose groups are a list")
     groups = [ConstraintGroup.from_json(g) for g in obj["groups"]]
     k = obj.get("min_satisfied")
-    if k is None:
-        k = min(2, len(groups))
-    elif not isinstance(k, int) or isinstance(k, bool):
-        raise MalformedGroupError(f"min_satisfied must be an integer, got {k!r}")
-    return groups, k
+    return groups, min(2, len(groups)) if k is None else _quota(k)
 
 
 def load_constraints_file(path: str) -> tuple[list[ConstraintGroup], int]:
@@ -156,12 +160,12 @@ class ConstraintFSM:
     """A compiled constraint machine in the default-column layout.
 
     ``tokens`` holds the sorted constraint token ids, ``table`` one row
-    per state with one column per constraint token and a last column
-    holding the state's mask state (the target of every other token),
-    and ``columns`` maps each vocabulary id to its column. Immutable
-    once built; :meth:`step`, :meth:`accepting` and
-    :meth:`satisfied_count` are pure reads and safe to share across
-    threads. Use :func:`compile_fsm` to construct one.
+    per state (int16 below 2**15 states, else int32) with one column per
+    constraint token and a last column holding the state's mask state
+    (the target of every other token), and ``columns`` maps each
+    vocabulary id to its column. Immutable once built; :meth:`step`,
+    :meth:`accepting` and :meth:`satisfied_count` are pure reads and
+    safe to share across threads. Use :func:`compile_fsm` to construct one.
     """
 
     __slots__ = (
@@ -277,9 +281,10 @@ def compile_fsm(
         bit ``g`` of the satisfaction mask.
     min_satisfied:
         Accepting quota ``k``: a state accepts when at least ``k``
-        groups are satisfied. ``0 <= k <= len(groups)``; with zero
-        groups and ``k = 0`` the result is the trivial one-state,
-        always-accepting machine.
+        groups are satisfied. An ``int`` (else
+        :class:`MalformedGroupError`) with ``0 <= k <= len(groups)``
+        (else :class:`QuotaRangeError`); with zero groups and ``k = 0``
+        the result is the trivial one-state, always-accepting machine.
     vocab:
         Every token string in every alternative must resolve here.
     mode:
@@ -291,7 +296,7 @@ def compile_fsm(
     n = len(groups)
     if n > MAX_GROUPS:
         raise TooManyGroupsError(f"{n} groups exceed the mask width ({MAX_GROUPS})")
-    if not 0 <= min_satisfied <= n:
+    if not 0 <= _quota(min_satisfied) <= n:
         raise QuotaRangeError(f"min_satisfied={min_satisfied} outside [0, {n}]")
     mode = PhraseMatchMode(mode)
     alt_ids = [sorted({vocab.ids(alt) for alt in group.alternatives}) for group in groups]
@@ -300,7 +305,8 @@ def compile_fsm(
     runs = np.array([off[-1] for off in offsets], dtype=np.int64)
     n_masks = 1 << n
     n_states = n_masks + (n_masks >> 1) * int(runs.sum())
-    n_bytes = n_states * (len(tokens) + 1) * 4
+    dtype = np.dtype(np.int16 if n_states < 2**15 else np.int32)
+    n_bytes = n_states * (len(tokens) + 1) * dtype.itemsize
     if n_bytes > MAX_TABLE_BYTES:
         raise FSMTooLargeError(
             f"{n_states} states x {len(tokens) + 1} columns need {n_bytes} bytes, over {MAX_TABLE_BYTES}"
@@ -311,7 +317,7 @@ def compile_fsm(
     sizes = free * runs
     base = n_masks + np.cumsum(sizes.sum(axis=1)) - sizes.sum(axis=1)
     first = base[:, None] + np.cumsum(sizes, axis=1) - sizes
-    table = np.empty((n_states, len(tokens) + 1), dtype=np.int32)
+    table = np.empty((n_states, len(tokens) + 1), dtype=dtype)
     progress = np.zeros((n_states, 3), dtype=np.int32)
 
     # Per input string ``s`` (a state's matched prefix plus one token): the

@@ -61,13 +61,14 @@ def dense_candidates(row, offset, eos, special, plain, width):
     """One scorer context's candidate block from its full dense row: the
     end sentinel, the special tokens, the plain tokens strictly above the
     ``width``-th best plain score (the cut) and the ``width`` smallest ids
-    tied at it, padded with -inf to ``special.size + 2 * width`` columns.
-    Returns the tokens, their scores (``offset`` plus the row's), the cut
-    and the best plain score below it."""
+    tied at it, padded with -inf to ``1 + special.size + min(2 * width -
+    1, max(plain.size, 1))`` columns. Returns the tokens, their scores
+    (``offset`` plus the row's), the cut and the best plain score below
+    it."""
     rest = row[plain] + offset
     cut = np.partition(rest, -width)[-width] if plain.size > width else -np.inf
     top = plain[np.concatenate([np.flatnonzero(rest > cut), np.flatnonzero(rest == cut)[:width]])]
-    tokens = np.concatenate([[eos], special, top, np.full(2 * width - 1 - top.size, eos)])
+    tokens = np.concatenate([[eos], special, top, np.full(min(2 * width - 1, max(plain.size, 1)) - top.size, eos)])
     scores = row[tokens] + offset
     scores[1 + special.size + top.size:] = -np.inf
     return tokens, scores, cut, np.max(rest, where=rest < cut, initial=-np.inf)

@@ -283,20 +283,68 @@ def test_context_size_zero_scores_one_row_per_decode():
     assert recording.prefixes == [()]
 
 
-@pytest.mark.parametrize("n_groups", [15, 16])
+@pytest.mark.parametrize("n_groups", [14, 15, 16])
 def test_decode_past_int16_state_ids_matches_the_reference(n_groups):
-    # one-word groups compile to 2**n_groups states: from 2**15 on,
-    # targets come from the int32 table, and at 2**16 ids pass int16
+    # one-word groups compile to 2**n_groups states: below 2**15 the
+    # table is int16, from 2**15 on int32, and at 2**16 ids pass int16
     rng = random.Random(n_groups)
     vocab = Vocabulary([f"w{i}" for i in range(18)])
     model = random_bigram(rng, vocab)
     groups = [ConstraintGroup(f"g{g}", ((f"w{g}",),)) for g in range(n_groups)]
     fsm = compile_fsm(groups, 2, vocab)
     assert fsm.state_count == 2**n_groups
+    assert fsm.table.dtype == (np.int16 if n_groups < 15 else np.int32)
     cfg = DecodeConfig(beam_width=1, max_len=3)
     result = decode(model, fsm, cfg)
     assert result == reference_decode(model, fsm, cfg)
     assert max(result.per_state_finalists) >= 2**(n_groups - 1)
+    assert result.per_state_finalists._arrays[0].dtype == np.int16  # 20 vocabulary entries
+
+
+def test_decode_makes_no_copy_of_the_table():
+    import tracemalloc
+
+    # 12 groups of four one-word alternatives: 4096 states x 49 columns
+    rng = random.Random(12)
+    vocab = Vocabulary([f"w{i}" for i in range(50)])
+    model = random_bigram(rng, vocab)
+    groups = [ConstraintGroup(f"g{g}", tuple((f"w{4 * g + a}",) for a in range(4))) for g in range(12)]
+    fsm = compile_fsm(groups, 1, vocab)
+    cfg = DecodeConfig(beam_width=1, max_len=1)
+    decode(model, fsm, cfg)  # anything built once per model or machine is built now
+    tracemalloc.start()
+    try:
+        decode(model, fsm, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # below an int16 copy of the table, which is the table itself
+    assert peak < 2 * fsm.table.size
+    assert fsm.table.nbytes == 2 * fsm.table.size
+
+
+def test_wide_beams_over_few_plain_tokens_stay_small():
+    import tracemalloc
+
+    # README's quickstart model: 10 tokens, 8 of them plain. A block
+    # holds at most every plain token, however wide the beam.
+    corpus = ["a dog ran in the park", "the dog ran after the ball"]
+    vocab = Vocabulary(sorted({w for s in corpus for w in s.split()}))
+    model = BigramModel.fit(corpus, alpha=0.1, vocab=vocab)
+    groups = [ConstraintGroup("dog", (("dog",),)), ConstraintGroup("ball", (("ball",),))]
+    fsm = compile_fsm(groups, 2, vocab)
+    narrow = decode(model, fsm, DecodeConfig(beam_width=6, max_len=10))
+    cfg = DecodeConfig(beam_width=256, max_len=10)
+    rows = fsm.state_count * cfg.beam_width  # live hypotheses per step, at most
+    tracemalloc.start()
+    try:
+        result = decode(model, fsm, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # O(rows * V), never O(rows * beam_width)
+    assert peak < 256 * rows * len(vocab)
+    assert result.tokens == narrow.tokens and result.satisfied_count == 2
 
 
 def test_constraint_guarantee_via_substring_scan():
@@ -762,6 +810,8 @@ def test_finalists_keep_token_ids_past_int16():
     fsm = compile_fsm([ConstraintGroup("a", ((big[2],),))], 1, vocab)
     result = decode(model, fsm, DecodeConfig(beam_width=3, max_len=5))
     assert min(result.tokens[:-1]) >= vocab.id(big[0]) > 2**15
+    assert fsm.table.dtype == np.int16  # 2 states
+    assert result.per_state_finalists._arrays[0].dtype == np.int32
     for state, hyps in result.per_state_finalists.items():
         for hyp in hyps:
             assert all(type(t) is int for t in hyp.tokens)

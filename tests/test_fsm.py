@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -251,7 +252,7 @@ def test_transitions_match_the_brute_force_oracle():
             fsm = compile_fsm(groups, len(groups) // 2, vocab, mode)
             expected = reference_transitions(groups, vocab, mode.value)
             table = dense_table(fsm)
-            assert table.dtype == expected.dtype
+            assert table.dtype == (np.int16 if fsm.state_count < 2**15 else np.int32)
             assert np.array_equal(table, expected), (groups, mode)
 
 
@@ -379,6 +380,17 @@ def test_compile_errors(vocab):
         compile_fsm(single_word_groups("d1"), -1, vocab)
 
 
+@pytest.mark.parametrize("quota", [1.5, True, False, "1", None, np.int64(1)])
+def test_quota_must_be_an_int(vocab, quota):
+    # one check for the compiler and the record reader, with one message
+    message = f"min_satisfied must be an integer, got {re.escape(repr(quota))}"
+    with pytest.raises(MalformedGroupError, match=message):
+        compile_fsm(single_word_groups("d1", "d2"), quota, vocab)
+    if quota is not None:
+        with pytest.raises(MalformedGroupError, match=message):
+            load_constraints({"min_satisfied": quota, "groups": []})
+
+
 # ---------------------------------------------------------------- JSON I/O
 
 
@@ -460,13 +472,21 @@ def test_table_size_is_bounded_before_anything_is_allocated(monkeypatch):
     assert isinstance(info.value, ValueError)
     assert peak < 1_000_000
 
-    # the bound is on states x (tokens + 1) x 4 bytes: 8 x 5 x 4 here
+    # the bound is on states x (tokens + 1) x 2 bytes below 2**15 states: 8 x 5 x 2 here
     small = [ConstraintGroup("g0", (("x", "y"),)), ConstraintGroup("g1", (("d1", "d2"),))]
-    monkeypatch.setattr(fsm_module, "MAX_TABLE_BYTES", 160)
-    assert compile_fsm(small, 1, Vocabulary(["d1", "d2", "x", "y"])).table.nbytes == 160
-    monkeypatch.setattr(fsm_module, "MAX_TABLE_BYTES", 159)
+    monkeypatch.setattr(fsm_module, "MAX_TABLE_BYTES", 80)
+    assert compile_fsm(small, 1, Vocabulary(["d1", "d2", "x", "y"])).table.nbytes == 80
+    monkeypatch.setattr(fsm_module, "MAX_TABLE_BYTES", 79)
     with pytest.raises(FSMTooLargeError):
         compile_fsm(small, 1, Vocabulary(["d1", "d2", "x", "y"]))
+
+    # and x 4 bytes from 2**15 states on: 2**15 x 16 x 4 for 15 one-word groups
+    words = [f"tok{i}" for i in range(15)]
+    monkeypatch.setattr(fsm_module, "MAX_TABLE_BYTES", 2**15 * 16 * 4)
+    assert compile_fsm(single_word_groups(*words), 1, Vocabulary(words)).table.nbytes == 2**15 * 16 * 4
+    monkeypatch.setattr(fsm_module, "MAX_TABLE_BYTES", 2**15 * 16 * 4 - 1)
+    with pytest.raises(FSMTooLargeError):
+        compile_fsm(single_word_groups(*words), 1, Vocabulary(words))
 
 
 def test_load_constraints_defaults_quota_to_two():
