@@ -261,6 +261,7 @@ def _rows(scorer: Scorer, size: int):
 
 def _candidates(
     row: tuple, offset: float, head: np.ndarray, plain: np.ndarray, is_plain: np.ndarray, width: int,
+    tail: int,
 ) -> tuple:
     """Build one scorer context's candidate block from its sparse row.
 
@@ -268,12 +269,12 @@ def _candidates(
     the ``width``-th best plain score (the cut) and the best plain score
     below it. The block is ``head`` (the end sentinel, then the special
     tokens), the plain tokens strictly above the cut and the ``width``
-    smallest ids tied at it, padded with -inf to ``head.size + min(2 *
-    width - 1, max(plain.size, 1))`` columns, the last one always plain
-    (or padding). Every plain token the row does not list scores the
-    default, so ``width`` of them stand in for all of them: in the cut,
-    and, when the default reaches the cut, as the smallest unlisted
-    plain ids.
+    smallest ids tied at it, padded with -inf to ``head.size + tail``
+    columns (``tail``: the most plain tokens a block holds, at least 1),
+    the last one always plain (or padding). Every plain token the row
+    does not list scores the default, so ``width`` of them stand in for
+    all of them: in the cut, and, when the default reaches the cut, as
+    the smallest unlisted plain ids.
     """
     default, ids, values = row
     if offset:
@@ -295,7 +296,7 @@ def _candidates(
         else:
             tied = np.sort(np.concatenate((tied, free)))
     top = np.concatenate((above, tied[:width]))
-    pad = min(2 * width - 1, max(plain.size, 1)) - top.size
+    pad = tail - top.size
     tokens = np.concatenate((head, top, head[:1].repeat(pad)))  # padded with the end sentinel
     if ids.size:
         at = ids.searchsorted(tokens)
@@ -332,10 +333,11 @@ def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig(
     is_plain[fsm.tokens] = is_plain[eos] = False
     plain = np.flatnonzero(is_plain)
     head = np.append(eos, special)
-    layout = (head, plain, is_plain, width)
+    tail = min(2 * width - 1, max(plain.size, 1))
+    layout = (head, plain, is_plain, width, tail)
     read = _rows(scorer, size)
     # Every block has the same layout, so one column map routes them all.
-    cols = np.concatenate((fsm.columns[head], np.full(min(2 * width - 1, max(plain.size, 1)), -1)))
+    cols = np.concatenate((fsm.columns[head], np.full(tail, -1)))
 
     context = _context_size(scorer)
     # Contexts scored so far in this call: key -> row of the ``stack`` arrays

@@ -28,7 +28,8 @@ from typing import Iterator, Sequence, TextIO
 
 from . import __version__
 from .beam import DecodeConfig, decode
-from .errors import DuplicateImageError, LexbeamError, MalformedCaptionError, MalformedDetectionError, QuotaRangeError
+from .errors import DuplicateImageError, LexbeamError, MalformedCaptionError, MalformedDetectionError
+from .errors import MalformedGroupError, QuotaRangeError
 from .filtering import (
     DEFAULT_IOU_THRESHOLD,
     DEFAULT_TOP_K,
@@ -39,12 +40,7 @@ from .filtering import (
     default_hierarchy,
     filter_constraints,
 )
-from .fsm import (
-    PhraseMatchMode,
-    compile_fsm,
-    load_constraints,
-    load_constraints_file,
-)
+from .fsm import PhraseMatchMode, check_quota, compile_fsm, default_quota, load_constraints, load_constraints_file
 from .sampling import ImageRecord, exclude, ngram_stats, sample, tokenize
 from .scorers import BigramModel
 from .vocab import Vocabulary
@@ -102,6 +98,24 @@ class _Records:
 
 def _print_record(obj: dict, out: TextIO) -> None:
     out.write(json.dumps(obj, sort_keys=True, allow_nan=False) + "\n")
+
+
+def _copy_image_id(record: dict, payload: dict, error: type[LexbeamError]) -> None:
+    """Copy ``record``'s ``image_id``, if it has one, into ``payload``
+    as it is; a NaN or infinity anywhere in it raises ``error``."""
+    if "image_id" in record:
+        try:
+            json.dumps(record["image_id"], allow_nan=False)
+        except ValueError:
+            raise error(f"image_id must hold no NaN or infinity, got {record['image_id']!r}") from None
+        payload["image_id"] = record["image_id"]
+
+
+def _min_satisfied(args: argparse.Namespace) -> int | None:
+    """``--min-satisfied``, refused when negative before any record is read."""
+    if args.min_satisfied is not None and args.min_satisfied < 0:
+        raise QuotaRangeError(f"min_satisfied must be non-negative, got {args.min_satisfied}")
+    return args.min_satisfied
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -187,15 +201,12 @@ def _cmd_decode(args: argparse.Namespace, out: TextIO, records: _Records) -> Non
         min_satisfied_fallback=args.fallback == "on",
         length_normalize=args.length_normalize,
     )
-    if args.min_satisfied is not None and args.min_satisfied < 0:
-        raise QuotaRangeError(f"min_satisfied must be non-negative, got {args.min_satisfied}")
+    quota = _min_satisfied(args)
     model = BigramModel.load(args.scorer)
     mode = PhraseMatchMode(args.mode)
     for record in records(args.constraints):
         groups, k = load_constraints(record)
-        if args.min_satisfied is not None:
-            k = args.min_satisfied
-        fsm = compile_fsm(groups, k, model.vocab, mode)
+        fsm = compile_fsm(groups, k if quota is None else quota, model.vocab, mode)
         result = decode(model, fsm, cfg)
         caption = model.vocab.words(model.vocab.strip_sentinels(result.tokens))
         payload = {
@@ -203,8 +214,7 @@ def _cmd_decode(args: argparse.Namespace, out: TextIO, records: _Records) -> Non
             "logprob": result.logprob,
             "satisfied": result.satisfied_count,
         }
-        if "image_id" in record:
-            payload["image_id"] = record["image_id"]
+        _copy_image_id(record, payload, MalformedGroupError)
         _print_record(payload, out)
 
 
@@ -219,8 +229,7 @@ def _cmd_filter(args: argparse.Namespace, out: TextIO, records: _Records) -> Non
     )
     mode = FilterMode(args.mode)
     filter_constraints([], hier, blacklist, mode, args.top_k, args.iou_threshold)  # checks the flags
-    if args.min_satisfied is not None and args.min_satisfied < 0:
-        raise QuotaRangeError(f"min_satisfied must be non-negative, got {args.min_satisfied}")
+    quota = _min_satisfied(args)
     for record in records(args.detections):
         dets = record.get("detections", []) if isinstance(record, dict) else None
         if not isinstance(dets, list):
@@ -235,15 +244,11 @@ def _cmd_filter(args: argparse.Namespace, out: TextIO, records: _Records) -> Non
             top_k=args.top_k,
             iou_threshold=args.iou_threshold,
         )
-        k = args.min_satisfied if args.min_satisfied is not None else min(2, len(groups))
-        if k > len(groups):
-            raise QuotaRangeError(f"min_satisfied={k} outside [0, {len(groups)}]")
         payload = {
-            "min_satisfied": k,
+            "min_satisfied": default_quota(len(groups)) if quota is None else check_quota(quota, len(groups)),
             "groups": [g.to_json() for g in groups],
         }
-        if "image_id" in record:
-            payload["image_id"] = record["image_id"]
+        _copy_image_id(record, payload, MalformedDetectionError)
         _print_record(payload, out)
 
 
@@ -319,6 +324,21 @@ _COMMANDS = {
 _INPUT_FLAGS = ("scorer", "constraints", "detections", "hierarchy", "blacklist", "images", "captions", "vocab")
 
 
+def _write_manifest(args: argparse.Namespace, started: float) -> None:
+    skipped = ("subcommand", "manifest", "timings", *_INPUT_FLAGS)
+    manifest = {
+        "subcommand": args.subcommand,
+        "flags": {k: v for k, v in vars(args).items() if k not in skipped and v is not None},
+        "inputs": [str(v) for k, v in vars(args).items() if k in _INPUT_FLAGS and v],
+        "outputs": ["-"],
+        "seed": getattr(args, "seed", None),
+        "version": __version__,
+        "wall_time_ms": (time.monotonic() - started) * 1000.0 if args.timings else None,
+    }
+    with open(args.manifest, "w", encoding="utf-8") as fp:
+        fp.write(json.dumps(manifest, sort_keys=True) + "\n")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -335,6 +355,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         _COMMANDS[args.subcommand](args, sys.stdout, records)
         sys.stdout.flush()  # a closed pipe fails here, not in the flush at exit
+        if args.manifest:  # only after success: a failed or cut-off run leaves none
+            _write_manifest(args, started)
     except BrokenPipeError:  # the reader left, as `| head` does: not an input error
         _discard_stdout()
         return 141
@@ -346,24 +368,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     finally:
         logger.removeHandler(handler)
-
-    if args.manifest:
-        flags = {
-            k: v
-            for k, v in vars(args).items()
-            if k not in ("subcommand", "manifest", "timings") and v is not None
-        }
-        manifest = {
-            "subcommand": args.subcommand,
-            "flags": {k: v for k, v in flags.items() if k not in _INPUT_FLAGS},
-            "inputs": [str(v) for k, v in vars(args).items() if k in _INPUT_FLAGS and v],
-            "outputs": ["-"],
-            "seed": getattr(args, "seed", None),
-            "version": __version__,
-            "wall_time_ms": (time.monotonic() - started) * 1000.0 if args.timings else None,
-        }
-        with open(args.manifest, "w", encoding="utf-8") as fp:
-            fp.write(json.dumps(manifest, sort_keys=True) + "\n")
     return 0
 
 

@@ -83,7 +83,8 @@ class NegativeBigramCountError(LexbeamError, ValueError):
 class MalformedModelError(LexbeamError, TypeError):
     """A bigram model file is not an object with ``alpha``, ``vocab`` and
     ``counts``, its ``counts`` is not a list of ``[v, w, c]`` triples, or
-    an entry of one is not a number ``int()`` accepts."""
+    an entry of one (or of a ``BigramModel``'s ``{(v, w): c}`` counts) is
+    not a number ``int()`` accepts or lies outside int64."""
 
 
 class DegenerateBoxError(LexbeamError, ValueError):

@@ -138,6 +138,18 @@ def _quota(k) -> int:
     return k
 
 
+def default_quota(n_groups: int) -> int:
+    """The quota of a record that sets none."""
+    return min(2, n_groups)
+
+
+def check_quota(k, n_groups: int) -> int:
+    """``k`` as the quota of ``n_groups`` groups: in ``[0, n_groups]``, else :class:`QuotaRangeError`."""
+    if not 0 <= _quota(k) <= n_groups:
+        raise QuotaRangeError(f"min_satisfied={k} outside [0, {n_groups}]")
+    return k
+
+
 def load_constraints(obj: dict) -> tuple[list[ConstraintGroup], int]:
     """Parse a constraint record ``{"min_satisfied": k, "groups": [...]}``.
 
@@ -148,7 +160,7 @@ def load_constraints(obj: dict) -> tuple[list[ConstraintGroup], int]:
         raise MalformedGroupError("a constraint record must be a JSON object whose groups are a list")
     groups = [ConstraintGroup.from_json(g) for g in obj["groups"]]
     k = obj.get("min_satisfied")
-    return groups, min(2, len(groups)) if k is None else _quota(k)
+    return groups, default_quota(len(groups)) if k is None else _quota(k)
 
 
 def load_constraints_file(path: str) -> tuple[list[ConstraintGroup], int]:
@@ -296,8 +308,7 @@ def compile_fsm(
     n = len(groups)
     if n > MAX_GROUPS:
         raise TooManyGroupsError(f"{n} groups exceed the mask width ({MAX_GROUPS})")
-    if not 0 <= _quota(min_satisfied) <= n:
-        raise QuotaRangeError(f"min_satisfied={min_satisfied} outside [0, {n}]")
+    check_quota(min_satisfied, n)
     mode = PhraseMatchMode(mode)
     alt_ids = [sorted({vocab.ids(alt) for alt in group.alternatives}) for group in groups]
     tokens = sorted({t for alts in alt_ids for alt in alts for t in alt})

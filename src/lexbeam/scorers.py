@@ -59,31 +59,17 @@ class Scorer(Protocol):
     def next_logprobs(self, prefix: Sequence[int]) -> np.ndarray: ...
 
 
-def _exact(values: list) -> np.ndarray:
-    """``values`` as int64, or as exact Python ints when one is past int64."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:  # an id past int64 is out of range, a count is kept exact
-        return np.array(values, dtype=object)
-
-
 def _read_counts(counts: object) -> list[np.ndarray]:
-    """The ``v``, ``w`` and ``c`` columns of a model file's ``[v, w, c]``
-    triples, each entry read as by ``int()``: int64, or exact Python
-    ints in a column holding a value past int64."""
+    """The ``v``, ``w`` and ``c`` int64 columns of ``[v, w, c]`` triples,
+    each entry read as by ``int()``; an entry ``int()`` refuses or one
+    outside int64 is a :class:`MalformedModelError`."""
     try:
-        try:
-            table = np.array(counts, dtype=np.int64)
-        except OverflowError:  # a value past int64, or infinite: int() per entry below
-            table = np.array(counts, dtype=object)
+        table = np.array(counts, dtype=np.int64)
         if table.shape != (0,) and (table.ndim != 2 or table.shape[1] != 3):
             raise ValueError(f"got shape {table.shape}")
-        columns = table.reshape(-1, 3).T
-        if columns.dtype == object:
-            columns = [_exact([int(x) for x in column]) for column in columns]
     except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedModelError(f"model counts must be a list of [v, w, c] integer triples: {exc}") from None
-    return list(columns)
+    return list(table.reshape(-1, 3).T)
 
 
 class BigramModel:
@@ -105,27 +91,21 @@ class BigramModel:
 
     context_size = 1
 
-    def __init__(
-        self,
-        vocab: Vocabulary,
-        counts: Mapping[tuple[int, int], int],
-        alpha: float,
-    ):
-        v, w = _exact(list(counts)).reshape(-1, 2).T
-        self._build(vocab, v, w, _exact(list(counts.values())), alpha)
+    def __init__(self, vocab: Vocabulary, counts: Mapping[tuple[int, int], int], alpha: float):
+        self._build(vocab, *_read_counts([pair + (c,) for pair, c in counts.items()]), alpha)
 
     def _build(self, vocab: Vocabulary, v: np.ndarray, w: np.ndarray, c: np.ndarray, alpha: float) -> None:
-        """The one construction path, from ``(v, w, c)`` columns in input
-        order; when a pair repeats, its last triple wins. A bad pair is
-        reported in the order of first occurrence, as a dict of the
-        triples would list it."""
+        """The one construction path, from the int64 ``(v, w, c)`` columns
+        of :func:`_read_counts` in input order; when a pair repeats, its
+        last triple wins. A bad pair is reported in the order of first
+        occurrence, as a dict of the triples would list it."""
         if not (alpha > 0 and np.isfinite(alpha)):
             raise NonPositiveAlphaError(f"alpha must be > 0, got {alpha}")
         size, bos = len(vocab), vocab.bos_id
         # Every row lists <s> at -inf: a (v, <s>, 0) triple ahead of the input; a counted pair wins.
         v = np.concatenate((np.arange(size), v))
         w = np.concatenate((np.full(size, bos), w))
-        c = np.concatenate((np.zeros(size, dtype=c.dtype), c))
+        c = np.concatenate((np.zeros(size, dtype=np.int64), c))
         order = np.lexsort((w, v))  # stable: the triples of one pair stay in input order
         v, w = v[order], w[order]
         last = np.ones(len(order), dtype=bool)
@@ -143,7 +123,7 @@ class BigramModel:
         predicted = w != bos
         kept = (c != 0) | ~predicted  # a zero count scores as the row default; <s> entries stay
         v, w, c, predicted = v[kept], w[kept], c[kept], predicted[kept]
-        weights = c.astype(np.float64)  # any count type, even past int64, scores in float64
+        weights = c.astype(np.float64)
         totals = np.bincount(v, weights=np.where(predicted, weights, 0.0), minlength=size)
         logden = np.log(totals + self.alpha * (size - 1))  # <s> is never predicted: out of both terms
         self._tokens, self._counts = w, c

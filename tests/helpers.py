@@ -352,15 +352,23 @@ def reference_sample(eligible, auto_include, target_count, n_candidates, seed) -
 
 def reference_model_json(obj: dict) -> tuple[list[bytes], str]:
     """Per-triple reference for ``BigramModel.from_json``. It reads the
-    triples into a ``{(v, w): c}`` dict with one ``int()`` per entry, so
+    triples into a ``{(v, w): c}`` dict with one ``int()`` per entry,
+    each of which must fit int64 (else :class:`MalformedModelError`), so
     a pair's last triple wins and a bad pair is found in the dict's
     order (its first occurrence, with its last value), checks each pair
     in a loop and builds every row from the closed form, summing each
     context's float64 counts in token order. Returns the bytes of each
     context's row and ``to_json()`` as ``sort_keys`` JSON text."""
     vocab = Vocabulary(obj["vocab"])
+
+    def entry(x) -> int:
+        x = int(x)
+        if not -(2**63) <= x < 2**63:
+            raise OverflowError(f"{x} is outside int64")
+        return x
+
     try:
-        counts = {(int(v), int(w)): int(c) for v, w, c in obj["counts"]}
+        counts = {(entry(v), entry(w)): entry(c) for v, w, c in obj["counts"]}
     except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedModelError(str(exc)) from None
     alpha = float(obj["alpha"])

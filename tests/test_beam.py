@@ -632,7 +632,7 @@ def test_sparse_blocks_match_the_dense_reference():
             for prefix in [()] + [(v,) for v in range(size)]:
                 offset = rng.choice([0.0, 0.0, -rng.uniform(0, 40), -(10.0 ** rng.uniform(0, 17))])
                 row = read(prefix)
-                got = _candidates(row, offset, head, plain, is_plain, width)
+                got = _candidates(row, offset, head, plain, is_plain, width, min(2 * width - 1, max(plain.size, 1)))
                 want = dense_candidates(model.next_logprobs(prefix), offset, eos, special, plain, width)
                 assert np.array_equal(got[0], want[0])
                 assert np.array_equal(got[1], want[1])

@@ -346,6 +346,21 @@ def test_decode_rejects_a_record_without_groups(run, scorer_file, tmp_path):
     assert (payload["error"], payload["line"]) == ("MalformedGroupError", 2)
 
 
+@pytest.mark.parametrize("image_id", ["NaN", "Infinity", "-Infinity", "[NaN]"])
+@pytest.mark.parametrize("command", ["filter", "decode"])
+def test_a_non_finite_image_id_is_a_record_error(run, tmp_path, scorer_file, command, image_id):
+    # copied as it was, it failed the strict JSON output with exit 2
+    path = tmp_path / "records.jsonl"
+    path.write_text("".join(f'{{"image_id": {i}, "groups": [], "detections": []}}\n' for i in ('"i0"', image_id)))
+    inputs = ("decode", "--scorer", scorer_file, "--constraints") if command == "decode" else ("filter", "--detections")
+    code, out, err = run(*inputs, str(path))
+    assert code == 1
+    assert [json.loads(line)["image_id"] for line in out.splitlines()] == ["i0"]
+    payload = json.loads(err)
+    error = "MalformedGroupError" if command == "decode" else "MalformedDetectionError"
+    assert (payload["error"], payload["line"]) == (error, 2)
+
+
 # ------------------------------------------------------------------ sample
 
 
@@ -915,6 +930,16 @@ def test_manifest_timings_opt_in(run, tmp_path):
     )
     assert code == 0
     assert json.loads(mpath.read_text())["wall_time_ms"] >= 0.0
+
+
+def test_an_unwritable_manifest_is_an_input_error(run, tmp_path):
+    # written outside the error mapping, its OSError escaped main()
+    mpath = tmp_path / "missing" / "m.json"
+    code, _, err = run("--manifest", str(mpath), "stats", "--captions", str(_captions_file(tmp_path)))
+    assert code == 1
+    payload = json.loads(err)
+    assert payload["error"] == "FileNotFoundError" and "line" not in payload
+    assert not mpath.exists()
 
 
 def _captions_file(tmp_path):

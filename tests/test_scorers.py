@@ -133,14 +133,22 @@ def test_fit_errors(vocab):
     [
         ({(0, 2): 1, (4, 2): 1, (2, 2): -1}, UnknownTokenError, "count pair (4, 2) out of range"),
         ({(2, -1): 1}, UnknownTokenError, "count pair (2, -1) out of range"),
-        ({(0, 2**70): 1}, UnknownTokenError, f"count pair (0, {2**70}) out of range"),
-        ({(2, 3): -1, (2**64, 1): 1}, ValueError, "negative count for pair (2, 3)"),
+        # an id past int64 is refused while reading, before any pair is checked
+        ({(0, 2**70): 1}, MalformedModelError, "model counts must be a list of [v, w, c] integer triples"),
+        ({(2, 3): -1, (2**64, 1): 1}, MalformedModelError, "model counts must be a list of [v, w, c] integer triples"),
     ],
 )
 def test_bad_count_pairs_report_the_first_in_input_order(vocab, counts, error, message):
     with pytest.raises(error) as info:
         BigramModel(vocab, counts, 1.0)
     assert message in str(info.value)
+
+
+@pytest.mark.parametrize("key", ["02", 2, (0, 2, 5)])
+def test_count_keys_must_be_pairs(vocab, key):
+    # only a (v, w) tuple is a pair: "02" is not (0, 2)
+    with pytest.raises(TypeError):
+        BigramModel(vocab, {key: 1}, 1.0)
 
 
 def test_json_roundtrip(tmp_path, vocab):
@@ -164,19 +172,24 @@ def test_duplicate_model_triples_last_one_wins(vocab):
         assert model.next_logprobs([ctx]).tobytes() == expected.next_logprobs([ctx]).tobytes()
 
 
-def test_counts_past_int64_are_saved_exactly(tmp_path):
+@pytest.mark.parametrize(
+    "triple", [[2, 3, 2**63], [2, 3, 2**64 + 1], [2, 2**63, 1], [-(2**63) - 1, 3, 1], [2, 3, 1e19]]
+)
+def test_counts_and_ids_past_int64_are_refused(tmp_path, triple):
+    # a count past int64 was kept exact and an id past it was out of range
     vocab = Vocabulary(["a", "b"])
-    model = BigramModel(vocab, {(2, 3): 2**63, (0, 2): 1}, 1.0)
+    v, w, c = triple
+    with pytest.raises(MalformedModelError, match="integer triples"):
+        BigramModel(vocab, {(0, 2): 1, (v, w): c}, 1.0)
     path = tmp_path / "model.json"
-    write_model(model, path)
-    # compared as text: 1.0 == 1 and 9.223372036854776e+18 == 2**63 in Python
-    assert '"counts": [[0, 2, 1], [2, 3, 9223372036854775808]]' in path.read_text()
-    loaded = BigramModel.load(str(path))
-    for ctx in range(len(vocab)):
-        assert loaded.next_logprobs([ctx]).tobytes() == model.next_logprobs([ctx]).tobytes()
-    # the rows are the closed form over float64 counts, as before
-    den = np.log(np.float64(2**63) + 1.0 * 3)
-    assert model.next_logprobs([2])[3] == np.log(np.float64(2**63) + 1.0) - den
+    path.write_text(json.dumps({"alpha": 1.0, "vocab": ["a", "b"], "counts": [[0, 2, 1], triple]}))
+    with pytest.raises(MalformedModelError, match="integer triples"):
+        BigramModel.load(str(path))
+    # the int64 bounds themselves are counts and ids like any other
+    model = BigramModel(vocab, {(2, 3): 2**63 - 1}, 1.0)
+    assert model.to_json()["counts"] == [[2, 3, 2**63 - 1]]
+    with pytest.raises(UnknownTokenError):
+        BigramModel(vocab, {(-(2**63), 3): 1}, 1.0)
 
 
 def test_counts_are_derived_nonzero_and_read_only(vocab):
@@ -210,9 +223,9 @@ def test_model_memory_is_linear_in_vocabulary_and_pairs():
 def _random_model_json(rng: random.Random) -> tuple[dict, set[str]]:
     """A model file's JSON with duplicate and zero triples, entries that
     ``int()`` reads (floats, numeric strings, bools), and at times ids
-    or counts past int64, out-of-range ids, negative counts (some
-    overwritten by a later duplicate) or an entry ``int()`` refuses.
-    Returns it with the names of the features it holds."""
+    or counts past int64 (both refused), out-of-range ids, negative
+    counts (some overwritten by a later duplicate) or an entry ``int()``
+    refuses. Returns it with the names of the features it holds."""
     size = rng.randint(2, 9)
     pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(rng.randint(1, 8))]
     triples = [[*rng.choice(pairs), rng.choice([0, 0, 1, 2, 5, 40])] for _ in range(rng.randint(0, 24))]
@@ -275,7 +288,7 @@ def test_from_json_matches_the_per_triple_reference():
         assert [model.next_logprobs([v]).tobytes() for v in range(len(model.vocab))] == rows
         assert json.dumps(model.to_json(), sort_keys=True) == saved
         valid.update(features)
-    for feature in ("duplicate", "float", "string", "bool", "count past int64", "overwritten negative"):
+    for feature in ("duplicate", "float", "string", "bool", "overwritten negative"):
         assert valid[feature] >= 20, (feature, valid)
     for error in ("MalformedModelError", "UnknownTokenError", "NegativeBigramCountError"):
         assert errors[error] >= 30, errors
