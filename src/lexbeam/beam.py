@@ -12,7 +12,7 @@ Conventions:
 
 * ``max_len`` caps the number of content tokens. The end sentinel is
   scored like any other step and terminates a hypothesis; its id is
-  routed through the machine like any other token, and finished token
+  routed through the machine like any other token, and finishers' token
   sequences include it.
 * Scores are natural-log probabilities, summed; nothing is ever
   multiplied in linear space.
@@ -41,7 +41,7 @@ the search cheap:
   the key is ``context_size`` long, else the whole key) plus its new
   token, so the child's context is looked up by the integer code
   ``tail id * V + token`` in a sorted array of the codes seen so far.
-  Only rows whose code is new read their key in Python.
+  Only one row per new code reads its key in Python.
 * A row is read as "default plus exceptions": ``(default, ids,
   values)`` from ``sparse_logprobs`` when the scorer offers it, else
   the ``next_logprobs`` row as default -inf with every id listed. Every
@@ -63,9 +63,11 @@ the search cheap:
   the largest such sum of its target state (the floor) cannot survive
   there and is dropped before the selection sort. Ties with the floor
   are kept, so the tie-break is untouched.
-* A finisher below the ``beam_width``-th best earlier finisher of its
-  state is dropped at once, so stored finishers stay near
-  ``beam_width`` per state.
+* Finishers live in one store of token rows, logprobs and states. A
+  step with finishers adds those that reach their state's bar (its
+  ``beam_width``-th best finisher logprob so far), then resets the bar
+  from the store and drops the rows below it, keeping ties for the
+  tie-break. So the store stays near ``beam_width`` rows per state.
 """
 
 from __future__ import annotations
@@ -128,8 +130,8 @@ class DecodeConfig:
 
 @dataclass(frozen=True, slots=True)
 class BeamHypothesis:
-    """A finished candidate: tokens (ending in the end sentinel), score
-    and the FSM state it finished in."""
+    """A completed candidate: tokens (ending in the end sentinel), score
+    and the FSM state it ended in."""
 
     tokens: tuple[int, ...]
     logprob: float
@@ -333,11 +335,11 @@ def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig(
     is_plain[fsm.tokens] = is_plain[eos] = False
     plain = np.flatnonzero(is_plain)
     head = np.append(eos, special)
-    tail = min(2 * width - 1, max(plain.size, 1))
-    layout = (head, plain, is_plain, width, tail)
+    plain_cols = min(2 * width - 1, max(plain.size, 1))
+    layout = (head, plain, is_plain, width, plain_cols)
     read = _rows(scorer, size)
     # Every block has the same layout, so one column map routes them all.
-    cols = np.concatenate((fsm.columns[head], np.full(tail, -1)))
+    cols = np.concatenate((fsm.columns[head], np.full(plain_cols, -1)))
 
     context = _context_size(scorer)
     # Contexts scored so far in this call: key -> row of the ``stack`` arrays
@@ -359,10 +361,9 @@ def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig(
     states = np.array([fsm.initial_state])
     logprobs = np.zeros(1)
     code = np.array([-1])  # the empty prefix's code, unlike any other
-    finished: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    # Each state's ``width`` best finisher logprobs so far, and the worst of
-    # them once there are ``width``.
-    best_lp, best_state = np.empty(0), np.empty(0, dtype=int)
+    # The finishers that can still be finalists (tokens, logprobs, states),
+    # and each state's ``width``-th best finisher logprob so far.
+    store = (seqs[:0], np.empty(0), np.empty(0, dtype=fsm.table.dtype))
     bar = np.full(fsm.state_count, -np.inf)
 
     for step in range(cfg.max_len + 1):
@@ -372,27 +373,25 @@ def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig(
             stack, (known, known_ctx) = empty, unseen
         start = 0 if context is None else max(0, step - context)
         # A row's context follows from its parent's tail and its last token,
-        # so only rows with a code not seen before read their key.
+        # so only one row per code not seen before reads its key.
         at = known.searchsorted(code)
         ctx = known_ctx[at]
         miss = np.flatnonzero(known[at] != code)
         if miss.size:
-            fresh: dict[int, int] = {}  # this step's new codes -> their contexts
+            new_codes, first, inverse = np.unique(code[miss], return_index=True, return_inverse=True)
+            new_ctx = np.empty(new_codes.size, dtype=np.intp)
             blocks = []
-            for i, k in zip(miss.tolist(), code[miss].tolist()):
-                c = fresh.get(k)
+            for j, i in enumerate(miss[first].tolist()):
+                key = tuple(seqs[i, start:step].tolist())
+                c = keys.get(key)  # a known key under a new code only when context_size is 0
                 if c is None:
-                    key = tuple(seqs[i, start:step].tolist())
-                    c = keys.get(key)  # a known key under a new code only when context_size is 0
-                    if c is None:
-                        c = keys[key] = len(keys)
-                        block = _candidates(read(tuple(seqs[i, :step].tolist())), 0.0, *layout)
-                        tail = key[1:] if len(key) == context else key
-                        blocks.append(block + (tails.setdefault(tail, len(tails)),))
-                    fresh[k] = c
-                ctx[i] = c
-            known = np.concatenate((known, np.fromiter(fresh, np.int64, len(fresh))))
-            known_ctx = np.concatenate((known_ctx, np.fromiter(fresh.values(), np.intp, len(fresh))))
+                    c = keys[key] = len(keys)
+                    block = _candidates(read(tuple(seqs[i, :step].tolist())), 0.0, *layout)
+                    tail = key[1:] if len(key) == context else key
+                    blocks.append(block + (tails.setdefault(tail, len(tails)),))
+                new_ctx[j] = c
+            ctx[miss] = new_ctx[inverse]
+            known, known_ctx = np.concatenate((known, new_codes)), np.concatenate((known_ctx, new_ctx))
             order = known.argsort()
             known, known_ctx = known[order], known_ctx[order]
             if blocks:
@@ -410,19 +409,20 @@ def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig(
         target = fsm.table[states[:, None], cols]
         end_lp, end_state = lp[:, 0], target[:, 0]
 
-        # A finisher scoring below the ``width``-th best earlier finisher
-        # of its state can never be a finalist, so it is not kept.
+        # A finisher scoring below the ``width``-th best finisher of its
+        # state can never be a finalist, so it is not kept; one tied with it
+        # is, for the token-order tie-break.
         done = (end_lp > -np.inf) & (end_lp >= bar[end_state])
-        ends = seqs[done]
-        ends[:, step] = eos
-        finished.append((ends, end_lp[done], end_state[done]))
-        best_lp = np.concatenate([best_lp, end_lp[done]])
-        best_state = np.concatenate([best_state, end_state[done]])
-        order = np.lexsort((-best_lp, best_state))
-        order = order[_first_per_key(best_state[order], width)]
-        best_lp, best_state = best_lp[order], best_state[order]
-        kept = np.bincount(best_state, minlength=fsm.state_count)
-        bar[kept == width] = best_lp[np.cumsum(kept)[kept == width] - 1]
+        if done.any():
+            ends = seqs[done]
+            ends[:, step] = eos
+            store = tuple(np.concatenate(part) for part in zip(store, (ends, end_lp[done], end_state[done])))
+            fin_lp, fin_state = store[1:]
+            order = np.lexsort((-fin_lp, fin_state))
+            ranked = fin_state[order]
+            nth = order[np.arange(order.size) - ranked.searchsorted(ranked) == width - 1]
+            bar[fin_state[nth]] = fin_lp[nth]
+            store = tuple(part[fin_lp >= bar[fin_state]] for part in store)
         if step == cfg.max_len:
             break
 
@@ -445,7 +445,7 @@ def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig(
     # Each state keeps its best ``beam_width`` finishers by (-logprob,
     # tokens). No finisher is a prefix of another, as the end sentinel
     # appears only at its end, so the -1 padding never decides an order.
-    ends, fin_lp, fin_state = (np.concatenate(part) for part in zip(*finished))
+    ends, fin_lp, fin_state = store
     order = np.lexsort(tuple(ends.T[::-1]) + (-fin_lp, fin_state))
     order = order[_first_per_key(fin_state[order], width)]
     length = (ends >= 0).sum(1)[order]

@@ -276,6 +276,8 @@ def _cmd_stats(args: argparse.Namespace, out: TextIO, records: _Records) -> None
             cap = tokenize(cap)
         elif not isinstance(cap, list) or not all(t is None or isinstance(t, (str, int, float)) for t in cap):
             raise MalformedCaptionError(f"caption must be a string or a list of JSON scalars, got {cap!r}")
+        else:  # Python's True == 1, so a boolean is keyed apart from every number
+            cap = [(bool, t) if isinstance(t, bool) else t for t in cap]
         captions.append(cap)
     counts = ngram_stats(captions, n_max=args.n_max)
     _print_record({f"{n}-grams": c for n, c in counts.items()}, out)

@@ -187,7 +187,6 @@ class ConstraintFSM:
         "min_satisfied",
         "n_groups",
         "mode",
-        "_popcounts",
         "_progress",
     )
 
@@ -203,10 +202,9 @@ class ConstraintFSM:
     ):
         columns = np.full(vocab_size, len(tokens), dtype=np.int32)
         columns[tokens] = np.arange(len(tokens))
-        pop = np.array([m.bit_count() for m in range(1 << n_groups)], dtype=np.int64)[table[:, -1]]
-        for array in (tokens, table, columns, pop, progress):
+        for array in (tokens, table, columns, progress):
             array.flags.writeable = False
-        self.tokens, self.table, self.columns, self._popcounts = tokens, table, columns, pop
+        self.tokens, self.table, self.columns = tokens, table, columns
         self._progress = progress  # (group, alt, matched) per state; matched 0 on mask states
         self.min_satisfied = min_satisfied
         self.n_groups = n_groups
@@ -252,17 +250,15 @@ class ConstraintFSM:
 
     def satisfied_count(self, state: int) -> int:
         """Number of groups satisfied on every path into ``state``."""
-        self._check_state(state)
-        return int(self._popcounts[state])
+        return self.satisfied_mask(state).bit_count()
 
     def accepting(self, state: int) -> bool:
         """True iff at least ``min_satisfied`` groups are satisfied in ``state``."""
         return self.satisfied_count(state) >= self.min_satisfied
 
     def accepting_states(self) -> tuple[int, ...]:
-        return tuple(
-            int(s) for s in np.flatnonzero(self._popcounts >= self.min_satisfied)
-        )
+        masks = self.table[:, -1].tolist()
+        return tuple(s for s, mask in enumerate(masks) if mask.bit_count() >= self.min_satisfied)
 
     def describe_state(self, state: int) -> str:
         bits = format(self.satisfied_mask(state), f"0{max(self.n_groups, 1)}b")

@@ -471,6 +471,31 @@ def test_finalist_states_are_consistent_with_their_tokens():
             )
 
 
+def test_finisher_ties_at_a_states_bar_across_steps_keep_the_token_order():
+    # beam 2, one state: (eos) and (b, eos) set the bar at step 1; at
+    # steps 2 and 3 finishers tied with it arrive, and (a, c, eos) is
+    # the second finalist, as it precedes (b, eos) in token order
+    vocab = Vocabulary(["a", "b", "c"])
+    a, b, c, eos = vocab.id("a"), vocab.id("b"), vocab.id("c"), vocab.eos_id
+
+    def row(**probs):
+        out = np.full(len(vocab), -np.inf)
+        for token, p in probs.items():
+            out[vocab.id(token) if token != "eos" else eos] = np.log(p)
+        return out
+
+    scorer = TableScorer(
+        vocab,
+        {(): row(eos=0.5, a=0.25, b=0.25), (a,): row(c=1.0), (b,): row(eos=0.5, c=0.5), (a, c): row(eos=0.5, c=0.5)},
+        default=row(eos=1.0),
+    )
+    fsm = compile_fsm([], 0, vocab)
+    cfg = DecodeConfig(beam_width=2, max_len=3)
+    result, want = decode(scorer, fsm, cfg), reference_decode(scorer, fsm, cfg)
+    assert result == want
+    assert [hyp.tokens for hyp in result.per_state_finalists[fsm.initial_state]] == [(eos,), (a, c, eos)]
+
+
 def test_greedy_beam_matches_repeated_argmax():
     vocab = Vocabulary(["a", "b"])
     a, b, eos = vocab.id("a"), vocab.id("b"), vocab.eos_id

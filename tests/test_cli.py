@@ -453,6 +453,14 @@ def test_stats_tokenizes_punctuation(run, tmp_path):
     assert json.loads(out) == {"1-grams": 2, "2-grams": 2}
 
 
+@pytest.mark.parametrize("caption, unigrams", [([True, 1], 2), ([False, 0], 2), ([1, 1.0], 1)])
+def test_stats_counts_booleans_apart_from_numbers(run, tmp_path, caption, unigrams):
+    path = tmp_path / "captions.jsonl"
+    path.write_text(json.dumps({"caption": caption}) + "\n")
+    code, out, _ = run("stats", "--captions", str(path), "--n-max", "1")
+    assert (code, json.loads(out)) == (0, {"1-grams": unigrams})
+
+
 @pytest.mark.parametrize("caption", [5, None, {"a": 1, "b": 2}, [["a"]], ["a", {"b": 1}]])
 def test_stats_rejects_captions_that_are_not_strings_or_scalar_lists(run, tmp_path, caption):
     path = tmp_path / "captions.jsonl"
