@@ -11,6 +11,7 @@ Returned arrays are read-only; do not mutate them.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
@@ -60,16 +61,35 @@ class Scorer(Protocol):
 
 
 def _read_counts(counts: object) -> list[np.ndarray]:
-    """The ``v``, ``w`` and ``c`` int64 columns of ``[v, w, c]`` triples,
-    each entry read as by ``int()``; an entry ``int()`` refuses or one
-    outside int64 is a :class:`MalformedModelError`."""
+    """The ``v``, ``w`` and ``c`` int64 columns of a list of ``[v, w, c]``
+    triples (lists, or tuples from the Mapping constructor), read in one
+    flat ``np.fromiter`` pass with each entry read as by ``int()``. A
+    triple of another type or length, an entry ``int()`` refuses or one
+    outside int64 is a :class:`MalformedModelError` naming the index and
+    value of the first such triple, found by a scan that runs only then."""
     try:
-        table = np.array(counts, dtype=np.int64)
-        if table.shape != (0,) and (table.ndim != 2 or table.shape[1] != 3):
-            raise ValueError(f"got shape {table.shape}")
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise MalformedModelError(f"model counts must be a list of [v, w, c] integer triples: {exc}") from None
-    return list(table.reshape(-1, 3).T)
+        if not isinstance(counts, list) or not set(map(type, counts)) <= {list, tuple} or set(map(len, counts)) - {3}:
+            raise ValueError
+        flat = np.fromiter(chain.from_iterable(counts), dtype=np.int64, count=3 * len(counts))
+    except (TypeError, ValueError, OverflowError):
+        raise MalformedModelError(
+            f"model counts must be a list of [v, w, c] integer triples: {_first_bad_triple(counts)}"
+        ) from None
+    return list(flat.reshape(-1, 3).T)
+
+
+def _first_bad_triple(counts: object) -> str:
+    """Where and why :func:`_read_counts` refuses ``counts``."""
+    if not isinstance(counts, list):
+        return f"got {type(counts).__name__}"
+    for i, triple in enumerate(counts):
+        if type(triple) not in (list, tuple) or len(triple) != 3:
+            return f"triple {i} ({triple!r:.80}) is not 3 entries"
+        try:
+            np.fromiter(triple, dtype=np.int64, count=3)
+        except (TypeError, ValueError, OverflowError) as exc:
+            return f"triple {i} ({triple!r:.80}): {exc}"
+    raise AssertionError("unreachable: every triple reads")
 
 
 class BigramModel:
@@ -102,24 +122,27 @@ class BigramModel:
         if not (alpha > 0 and np.isfinite(alpha)):
             raise NonPositiveAlphaError(f"alpha must be > 0, got {alpha}")
         size, bos = len(vocab), vocab.bos_id
-        # Every row lists <s> at -inf: a (v, <s>, 0) triple ahead of the input; a counted pair wins.
-        v = np.concatenate((np.arange(size), v))
-        w = np.concatenate((np.full(size, bos), w))
-        c = np.concatenate((np.zeros(size, dtype=np.int64), c))
-        order = np.lexsort((w, v))  # stable: the triples of one pair stay in input order
-        v, w = v[order], w[order]
-        last = np.ones(len(order), dtype=bool)
-        last[:-1] = (v[1:] != v[:-1]) | (w[1:] != w[:-1])
-        first = order[np.roll(last, 1)]  # each pair's run starts after the previous run's last
-        v, w, c = v[last], w[last], c[order[last]]
-        out_of_range = (v < 0) | (v >= size) | (w < 0) | (w >= size)
-        bad = np.flatnonzero(out_of_range | (c < 0))
-        if bad.size:
-            i = bad[np.argmin(first[bad])]
-            if out_of_range[i]:
+        known = (v >= 0) & (v < size) & (w >= 0) & (w < size)
+        # One key per pair, never formed from an unknown id. Every row lists <s> at -inf:
+        # a (v, <s>, 0) triple ahead of the input; a counted pair wins.
+        key = np.concatenate((np.arange(size) * size + bos, v[known] * size + w[known]))
+        c = np.concatenate((np.zeros(size, dtype=np.int64), c[known]))
+        order = np.argsort(key, kind="stable")  # the triples of one pair stay in input order
+        key = key[order]
+        last = np.ones(len(key), dtype=bool)
+        last[:-1] = key[1:] != key[:-1]
+        key, c = key[last], c[order[last]]
+        if not known.all() or (c < 0).any():
+            # The first bad pair in the order of first triples: its first triple is the first
+            # that is out of range or belongs to a pair whose last count is negative.
+            bad = ~known
+            bad[known] = np.isin(v[known] * size + w[known], key[c < 0])
+            i = np.argmax(bad)
+            if not known[i]:
                 raise UnknownTokenError(f"count pair ({v[i]}, {w[i]}) out of range")
             raise NegativeBigramCountError(f"negative count for pair ({v[i]}, {w[i]})")
         self.vocab, self.alpha = vocab, float(alpha)
+        v, w = np.divmod(key, size)
         predicted = w != bos
         kept = (c != 0) | ~predicted  # a zero count scores as the row default; <s> entries stay
         v, w, c, predicted = v[kept], w[kept], c[kept], predicted[kept]

@@ -28,11 +28,13 @@ class Vocabulary:
     def __init__(self, words: Iterable[str]):
         tokens = [BOS, EOS]
         tokens.extend(words)
-        index: dict[str, int] = {}
-        for i, tok in enumerate(tokens):
-            if tok in index:
-                raise DuplicateTokenError(f"duplicate token {tok!r}")
-            index[tok] = i
+        index = dict(zip(tokens, range(len(tokens))))
+        if len(index) < len(tokens):
+            seen: set[str] = set()
+            for tok in tokens:
+                if tok in seen:
+                    raise DuplicateTokenError(f"duplicate token {tok!r}")
+                seen.add(tok)
         self.tokens: tuple[str, ...] = tuple(tokens)
         self.bos_id = 0
         self.eos_id = 1
@@ -41,7 +43,7 @@ class Vocabulary:
     @classmethod
     def from_json(cls, words: object) -> "Vocabulary":
         """A vocabulary from a JSON array of content-token strings."""
-        if not isinstance(words, list) or not all(isinstance(word, str) for word in words):
+        if not isinstance(words, list) or not set(map(type, words)) <= {str}:
             raise MalformedVocabularyError(f"vocab must be a list of strings, got {words!r:.80}")
         return cls(words)
 

@@ -10,6 +10,7 @@ from lexbeam import BigramModel, Vocabulary
 from lexbeam.errors import (
     EmptyCorpusError,
     MalformedModelError,
+    NegativeBigramCountError,
     NonPositiveAlphaError,
     UnknownTokenError,
 )
@@ -311,6 +312,83 @@ def test_from_json_memory_holds_no_per_triple_objects():
     # tuples on the way peaks at about 180 bytes per triple
     assert peak < 144 * len(triples)
     assert len(model.to_json()["counts"]) == len({(v, w) for v, w, _ in triples})
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [
+        # 2**62 * 4 and -(2**63) * 4 wrap to 0 in int64: keyed, they would
+        # land on the in-range pair (0, 2) and overwrite its count
+        [[0, 2, -1], [2**62, 2, 1]],
+        [[0, 2, -1], [-(2**63), 2, 1], [2, 3, 1]],
+        [[2, 3, 1], [-(2**62), 3, 1], [0, 2, -1]],
+        [[0, 2, -1], [2**63 - 1, 1, 1], [2, 2, 1]],
+        [[2, 2, 1], [3, 2**62, 4], [3, 3, -1]],
+        [[2, 3, -1], [2**62, 2, 5], [3, 3, -2]],
+        [[2, 3, -1], [2, 3, 1], [2, -(2**63), 1], [3, 3, -1]],
+        [[1, 1, 2], [2**63 - 1, 2**63 - 1, 1], [-(2**63), -(2**63), 1]],
+        # a pair's first triple orders it, also for a counted <s> pair
+        [[3, 2, -1], [2, 0, -1]],
+    ],
+)
+def test_far_out_of_range_ids_report_the_first_bad_pair(monkeypatch, counts):
+    obj = {"alpha": 1.0, "vocab": ["a", "b"], "counts": counts}
+    size = len(obj["vocab"]) + 2
+    keys = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda a, *args, **kw: keys.append(np.array(a)) or argsort(a, *args, **kw))
+    with pytest.raises((UnknownTokenError, NegativeBigramCountError)) as expected:
+        reference_model_json(obj)
+    with pytest.raises(expected.type) as info:
+        BigramModel.from_json(obj)
+    assert type(info.value) is expected.type and str(info.value) == str(expected.value)
+    # no key is formed from an id outside the vocabulary, so none wraps:
+    # one per row's <s> entry and one per in-range triple, all below V * V
+    known = sum(0 <= v < size and 0 <= w < size for v, w, _ in counts)
+    assert keys and all(len(k) == size + known and ((k >= 0) & (k < size * size)).all() for k in keys)
+
+
+def test_triple_order_changes_only_which_repeat_is_last():
+    rng = random.Random(5)
+    size = 40
+    pairs = list({(rng.randrange(size), rng.randrange(size)) for _ in range(300)})
+    distinct = sorted([v, w, rng.randrange(1, 9)] for v, w in pairs)
+    repeated = sorted(distinct + [[v, w, rng.randrange(0, 9)] for v, w, _ in rng.sample(distinct, 60)])
+    vocab = [f"w{i}" for i in range(size - 2)]
+
+    def loaded(triples):
+        model = BigramModel.from_json({"alpha": 0.5, "vocab": vocab, "counts": triples})
+        return [model.next_logprobs([v]).tobytes() for v in range(size)], json.dumps(model.to_json(), sort_keys=True)
+
+    for triples in (distinct, repeated):
+        shuffled = list(triples)
+        rng.shuffle(shuffled)
+        # reversed pair by pair, the repeats of a pair kept in file order
+        backwards = sorted(triples, key=lambda t: t[:2], reverse=True)
+        for order in (triples, triples[::-1], shuffled, backwards):
+            assert loaded(order) == reference_model_json({"alpha": 0.5, "vocab": vocab, "counts": order})
+        assert loaded(backwards) == loaded(triples)
+        # without repeats any order loads the sorted file's model; with
+        # them, read backwards, a pair's first triple wins
+        assert (loaded(triples[::-1]) == loaded(triples)) is (triples is distinct)
+
+
+@pytest.mark.parametrize(
+    "counts, where",
+    [
+        ([[0, 2, 1], {"v": 0, "w": 2, "c": 1}], "triple 1 ({'v': 0, 'w': 2, 'c': 1}) is not 3 entries"),
+        (["021"], "triple 0 ('021') is not 3 entries"),
+        ([[0, 2, 1], [0, 3, 1], [0, 2, "2.5"], [0, 3, None]], "triple 2 ([0, 2, '2.5']): invalid literal"),
+        ([[0, 2, 1], [0, 2, [1, 2]]], "triple 1 ([0, 2, [1, 2]]): int() argument must be"),
+        ([[0, 2, "x"], [0, 2]], "triple 0 ([0, 2, 'x'])"),
+        ([[0, 2, 1], [0, 2, 2**64]], "triple 1 ([0, 2, 18446744073709551616])"),
+        ({"0": [2, 1]}, "got dict"),
+    ],
+)
+def test_malformed_counts_name_the_first_bad_triple(counts, where):
+    with pytest.raises(MalformedModelError) as info:
+        BigramModel.from_json({"alpha": 1.0, "vocab": ["a"], "counts": counts})
+    assert str(info.value).startswith("model counts must be a list of [v, w, c] integer triples: " + where)
 
 
 @pytest.mark.parametrize(

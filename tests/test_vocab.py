@@ -1,7 +1,7 @@
 import pytest
 
 from lexbeam import BOS, EOS, Vocabulary
-from lexbeam.errors import UnknownTokenError
+from lexbeam.errors import DuplicateTokenError, MalformedVocabularyError, UnknownTokenError
 
 
 def test_ids_are_dense_and_sentinels_reserved():
@@ -36,3 +36,20 @@ def test_strip_sentinels():
     v = Vocabulary(["a"])
     assert v.strip_sentinels((0, 2, 1)) == (2,)
     assert v.content_tokens == ("a",)
+
+
+@pytest.mark.parametrize(
+    "words, repeat",
+    [(["a", "b", "a", "b"], "'a'"), (["a", EOS], "'</s>'"), (["x", BOS, "x"], "'<s>'"), (["b", "a", "a"], "'a'")],
+)
+def test_the_first_repeat_is_named(words, repeat):
+    with pytest.raises(DuplicateTokenError) as info:
+        Vocabulary(words)
+    assert str(info.value) == f"duplicate token {repeat}"
+
+
+@pytest.mark.parametrize("words", ["ab", ["a", None], [1], ("a",), ["a", ["b"]]])
+def test_from_json_takes_a_list_of_strings_only(words):
+    with pytest.raises(MalformedVocabularyError):
+        Vocabulary.from_json(words)
+    assert Vocabulary.from_json(["a", "b"]).tokens == (BOS, EOS, "a", "b")
