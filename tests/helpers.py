@@ -4,7 +4,8 @@ exhaustive enumeration, full recounts, a per-triple model reader, a
 dense candidate-block builder, a plain one-beam-per-state search (which
 reads only the compiled FSM's table) and a per-pair overlap
 suppression. Also the fixtures tests build scorers and model files
-with: a table scorer and a model-file writer."""
+with: a table scorer and a model-file writer. And ``GOLDEN_RUNS``, the
+one list of golden CLI runs."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import itertools
 import json
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 
@@ -24,6 +26,8 @@ from lexbeam.errors import (
     UnknownTokenError,
 )
 from lexbeam.sampling import POOL_KEYS, SampleStep, SelectionState
+
+DATA = Path(__file__).parent / "data"
 
 
 def contains_phrase(seq, phrase) -> bool:
@@ -433,3 +437,74 @@ def reference_suppress_overlaps(dets, hier, iou_threshold):
         if remove not in removed and keep not in removed:
             removed.add(remove)
     return [det for pos, det in enumerate(work) if pos not in removed]
+
+
+def reversed_model(tmp_path) -> str:
+    """``decode_model.json`` with its triples sorted by pair in reverse,
+    written to ``tmp_path``. The sort is stable, so a pair's repeated
+    triples stay in file order and the last still wins: the model must
+    decode as the original does."""
+    model = json.loads((DATA / "decode_model.json").read_text())
+    model["counts"].sort(key=lambda t: t[:2], reverse=True)
+    path = tmp_path / "reversed_model.json"
+    path.write_text(json.dumps(model))
+    return str(path)
+
+
+# Every golden CLI run, as (test id, golden file in DATA, argv). The CLI
+# run with argv must print the golden byte for byte. An argv entry that
+# is callable is called with a temporary directory and replaced by the
+# path it returns. Each id is the one the run's per-subcommand test
+# gives it in test_cli.py.
+_DETECTIONS = ["--detections", DATA / "detections.jsonl"]
+_DECODE = ["--constraints", DATA / "decode_constraints.jsonl"]
+_MODEL = ["--scorer", DATA / "decode_model.json", *_DECODE]
+_INSPECT = ["--constraints", DATA / "inspect_constraints.json", "--vocab", DATA / "inspect_vocab.json"]
+GOLDEN_RUNS = [
+    # The 10-detection fixture exercises every filtering stage; the
+    # goldens were derived by hand:
+    # * full: the blacklist removes Mammal, Human eye and Tree; overlap
+    #   suppression removes Vehicle (strict ancestor of Car on the same
+    #   box); confidence ranking leaves Dog .9, Car .8, Cat .6.
+    # * no-class: no blacklist, so overlap suppression removes Mammal
+    #   (ancestor of Dog) and Vehicle; ranking leaves Human eye .99,
+    #   Dog .9, Tree .85.
+    # * no-overlap: blacklist only; ranking leaves Dog .9, Car .8,
+    #   Vehicle .7.
+    # * none: raw ranking: Human eye .99, Mammal .95, Dog .9 (the two Dog
+    #   detections collapse to the higher score).
+    ("full", "golden_filter_full.jsonl", ["filter", *_DETECTIONS, "--mode", "full"]),
+    ("no-class", "golden_filter_no-class.jsonl", ["filter", *_DETECTIONS, "--mode", "no-class"]),
+    ("no-overlap", "golden_filter_no-overlap.jsonl", ["filter", *_DETECTIONS, "--mode", "no-overlap"]),
+    ("none", "golden_filter_none.jsonl", ["filter", *_DETECTIONS, "--mode", "none"]),
+    # decode_model.json is a fitted model saved with duplicate and zero
+    # triples appended; the goldens were frozen from the reader that
+    # built a {(v, w): c} dict, so the last triple of a pair wins. The
+    # reversed model holds the same triples out of pair order.
+    ("default-flags0", "golden_decode_default.jsonl", ["decode", *_MODEL]),
+    ("reversed-model", "golden_decode_default.jsonl", ["decode", "--scorer", reversed_model, *_DECODE]),
+    ("beam-3-faithful-norm-flags1", "golden_decode_beam-3-faithful-norm.jsonl",
+     ["decode", *_MODEL, "--beam-width", "3", "--max-len", "10", "--mode", "faithful", "--length-normalize"]),
+    ("beam-8-fallback-off-flags2", "golden_decode_beam-8-fallback-off.jsonl",
+     ["decode", *_MODEL, "--beam-width", "8", "--max-len", "12", "--fallback", "off"]),
+    # five groups: self-overlapping phrases (x x, x y x), prefixes shared
+    # across groups (x y x, x y z), a single-word group between phrase
+    # groups; the goldens were frozen from the compiler that built one
+    # label tuple per state
+    ("failure-False", "golden_inspect_failure.txt", ["inspect-fsm", *_INSPECT, "--mode", "failure"]),
+    ("failure-True", "golden_inspect_failure-transitions.txt",
+     ["inspect-fsm", *_INSPECT, "--mode", "failure", "--transitions"]),
+    ("faithful-False", "golden_inspect_faithful.txt", ["inspect-fsm", *_INSPECT, "--mode", "faithful"]),
+    ("faithful-True", "golden_inspect_faithful-transitions.txt",
+     ["inspect-fsm", *_INSPECT, "--mode", "faithful", "--transitions"]),
+    # 2000 seeded images over 40 classes; goldens frozen from the
+    # full-recount sampler
+    ("7-5-350", "golden_sample_seed-7.jsonl",
+     ["sample", "--images", DATA / "sample_images.jsonl", "--target", "350", "--candidates", "5", "--seed", "7"]),
+    ("11-3-300", "golden_sample_seed-11.jsonl",
+     ["sample", "--images", DATA / "sample_images.jsonl", "--target", "300", "--candidates", "3", "--seed", "11"]),
+    # 400 seeded captions with punctuation, case, repeated phrases, a few
+    # pre-tokenized lists (one mixing 1 with "1") and an empty caption
+    ("4", "golden_stats_n-max-4.jsonl", ["stats", "--captions", DATA / "stats_captions.jsonl", "--n-max", "4"]),
+    ("6", "golden_stats_n-max-6.jsonl", ["stats", "--captions", DATA / "stats_captions.jsonl", "--n-max", "6"]),
+]

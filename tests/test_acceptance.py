@@ -12,7 +12,6 @@ import random
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
@@ -42,6 +41,8 @@ from lexbeam import (
 from lexbeam.errors import NoHypothesisError
 
 from helpers import (
+    DATA,
+    GOLDEN_RUNS,
     constrained_argmax,
     groups_to_ids,
     random_bigram,
@@ -49,8 +50,6 @@ from helpers import (
     scan_satisfied,
     write_model,
 )
-
-DATA = Path(__file__).parent / "data"
 
 
 def ok(criterion, detail):
@@ -198,19 +197,16 @@ def test_05_filter_pipeline_fidelity():
         for mode in FilterMode:
             assert len(filter_constraints(dets, hier, blacklist, mode)) <= 3
 
-    for mode in ("full", "no-class", "no-overlap", "none"):
+    for _, golden, argv in GOLDEN_RUNS:
+        if argv[0] != "filter":
+            continue
         proc = subprocess.run(
-            [
-                sys.executable, "-m", "lexbeam.cli",
-                "filter", "--detections", str(DATA / "detections.jsonl"),
-                "--mode", mode,
-            ],
+            [sys.executable, "-m", "lexbeam.cli", *map(str, argv)],
             capture_output=True,
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        golden = (DATA / f"golden_filter_{mode}.jsonl").read_bytes()
-        assert proc.stdout == golden, mode
+        assert proc.stdout == (DATA / golden).read_bytes(), golden
     ok(5, "ancestor suppression, blacklist, top-3 cap and all four mode goldens hold")
 
 

@@ -1,19 +1,12 @@
 """End-to-end CLI behavior: exit codes, JSON-lines formats, golden
-filter outputs, shell pipelining and manifest determinism.
+outputs, shell pipelining and manifest determinism.
 
-The 10-detection golden fixture exercises every filtering stage; the
-expected files were derived by hand:
-
-* ``full``: the blacklist removes Mammal, Human eye and Tree; overlap
-  suppression removes Vehicle (strict ancestor of Car on the same box);
-  confidence ranking leaves Dog .9, Car .8, Cat .6.
-* ``no-class``: no blacklist, so overlap suppression removes Mammal
-  (ancestor of Dog) and Vehicle; ranking leaves Human eye .99, Dog .9,
-  Tree .85.
-* ``no-overlap``: blacklist only; ranking leaves Dog .9, Car .8,
-  Vehicle .7.
-* ``none``: raw ranking: Human eye .99, Mammal .95, Dog .9 (the two
-  Dog detections collapse to the higher score).
+``helpers.GOLDEN_RUNS`` is the one list of golden CLI runs, with how
+each golden was frozen; the tests below run each row in-process and
+check that every ``tests/data/golden_*`` file has a row. CI also runs
+this module against the installed package from outside the checkout,
+where ``lexbeam`` and its shipped hierarchy and blacklist resolve to the
+installed copy.
 """
 
 import io
@@ -21,16 +14,13 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 from lexbeam import BigramModel, Vocabulary
 from lexbeam.cli import build_parser, main
 
-from helpers import write_model
-
-DATA = Path(__file__).parent / "data"
+from helpers import DATA, GOLDEN_RUNS, write_model
 
 
 @pytest.fixture
@@ -91,17 +81,39 @@ def test_missing_input_file_exits_one(run, tmp_path):
     assert json.loads(err.strip().splitlines()[-1])["error"]
 
 
+# ------------------------------------------------------------ golden runs
+
+
+def golden_test(command):
+    """The golden test over ``command``'s rows of ``GOLDEN_RUNS``: the
+    run prints its golden byte for byte and nothing on stderr. One per
+    subcommand, so that each run keeps its test id."""
+    ids, rows = zip(*[(id_, (golden, argv)) for id_, golden, argv in GOLDEN_RUNS if argv[0] == command])
+
+    @pytest.mark.parametrize("golden, argv", rows, ids=ids)
+    def test(run, tmp_path, golden, argv):
+        code, out, err = run(*(str(arg(tmp_path) if callable(arg) else arg) for arg in argv))
+        assert (code, err) == (0, "")
+        assert out == (DATA / golden).read_text()
+
+    return test
+
+
+test_filter_matches_golden_output = golden_test("filter")
+test_decode_stdout_matches_frozen_golden = golden_test("decode")
+test_inspect_fsm_stdout_matches_frozen_golden = golden_test("inspect-fsm")
+test_sample_stdout_matches_frozen_golden = golden_test("sample")
+test_stats_stdout_matches_frozen_golden = golden_test("stats")
+
+
+def test_every_golden_file_has_a_run_and_every_run_a_golden_file():
+    # a golden with no row would never be checked; the reversed model's
+    # row shares the default decode golden, so ids, not files, are unique
+    assert {golden for _, golden, _ in GOLDEN_RUNS} == {path.name for path in DATA.glob("golden_*")}
+    assert len({(argv[0], id_) for id_, _, argv in GOLDEN_RUNS}) == len(GOLDEN_RUNS)
+
+
 # ------------------------------------------------------------------ filter
-
-
-@pytest.mark.parametrize("mode", ["full", "no-class", "no-overlap", "none"])
-def test_filter_matches_golden_output(run, mode):
-    code, out, err = run(
-        "filter", "--detections", str(DATA / "detections.jsonl"), "--mode", mode
-    )
-    assert code == 0
-    golden = (DATA / f"golden_filter_{mode}.jsonl").read_text()
-    assert out == golden
 
 
 def test_filter_reads_stdin_dash(run, monkeypatch):
@@ -109,7 +121,8 @@ def test_filter_reads_stdin_dash(run, monkeypatch):
     monkeypatch.setattr(sys, "stdin", _StdinStub(record))
     code, out, _ = run("filter", "--mode", "full")
     assert code == 0
-    assert out == (DATA / "golden_filter_full.jsonl").read_text()
+    golden = next(golden for id_, golden, argv in GOLDEN_RUNS if argv[0] == "filter" and id_ == "full")
+    assert out == (DATA / golden).read_text()
 
 
 class _StdinStub:
@@ -276,43 +289,6 @@ def test_decode_mode_flag_accepts_both_semantics(run, scorer_file, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "name, flags",
-    [
-        ("default", []),
-        ("beam-3-faithful-norm", ["--beam-width", "3", "--max-len", "10", "--mode", "faithful", "--length-normalize"]),
-        ("beam-8-fallback-off", ["--beam-width", "8", "--max-len", "12", "--fallback", "off"]),
-    ],
-)
-def test_decode_stdout_matches_frozen_golden(run, name, flags):
-    # decode_model.json is a fitted model saved with duplicate and zero
-    # triples appended; the golden stdout was frozen from the reader that
-    # built a {(v, w): c} dict, so the last triple of a pair wins
-    code, out, err = run(
-        "decode", "--scorer", str(DATA / "decode_model.json"),
-        "--constraints", str(DATA / "decode_constraints.jsonl"), *flags,
-    )
-    assert (code, err) == (0, "")
-    assert out == (DATA / f"golden_decode_{name}.jsonl").read_text()
-
-
-@pytest.mark.parametrize("transitions", [False, True])
-@pytest.mark.parametrize("mode", ["failure", "faithful"])
-def test_inspect_fsm_stdout_matches_frozen_golden(run, mode, transitions):
-    # five groups: self-overlapping phrases (x x, x y x), prefixes shared
-    # across groups (x y x, x y z), a single-word group between phrase
-    # groups; the golden stdout was frozen from the compiler that built
-    # one label tuple per state
-    flags = ["--transitions"] if transitions else []
-    code, out, err = run(
-        "inspect-fsm", "--constraints", str(DATA / "inspect_constraints.json"),
-        "--vocab", str(DATA / "inspect_vocab.json"), "--mode", mode, *flags,
-    )
-    assert (code, err) == (0, "")
-    name = f"{mode}-transitions" if transitions else mode
-    assert out == (DATA / f"golden_inspect_{name}.txt").read_text()
-
-
-@pytest.mark.parametrize(
     "model",
     [
         [1, 2],
@@ -406,18 +382,6 @@ def test_sample_requires_seed(run, tmp_path):
     assert json.loads(err.strip().splitlines()[-1])["error"] == "usage"
 
 
-@pytest.mark.parametrize("seed,candidates,target", [(7, 5, 350), (11, 3, 300)])
-def test_sample_stdout_matches_frozen_golden(run, seed, candidates, target):
-    # 2000 seeded images over 40 classes (tests/data/sample_images.jsonl),
-    # golden stdout frozen from the full-recount sampler
-    code, out, _ = run(
-        "sample", "--images", str(DATA / "sample_images.jsonl"), "--target", str(target),
-        "--candidates", str(candidates), "--seed", str(seed),
-    )
-    assert code == 0
-    assert out == (DATA / f"golden_sample_seed-{seed}.jsonl").read_text()
-
-
 @pytest.mark.parametrize("classes", ["dog", 5, ["dog", 5], None])
 def test_sample_rejects_classes_that_are_not_a_list_of_strings(run, tmp_path, classes):
     path = tmp_path / "images.jsonl"
@@ -477,15 +441,6 @@ def test_stats_rejects_a_nonpositive_n_max(run, tmp_path):
     code, out, err = run("stats", "--captions", str(path), "--n-max", "0")
     assert (code, out) == (1, "")
     assert json.loads(err) == {"error": "NonPositiveCountError", "message": "n_max must be >= 1"}
-
-
-@pytest.mark.parametrize("n_max", [4, 6])
-def test_stats_stdout_matches_frozen_golden(run, n_max):
-    # 400 seeded captions with punctuation, case, repeated phrases, a few
-    # pre-tokenized lists (one mixing 1 with "1") and an empty caption
-    code, out, _ = run("stats", "--captions", str(DATA / "stats_captions.jsonl"), "--n-max", str(n_max))
-    assert code == 0
-    assert out == (DATA / f"golden_stats_n-max-{n_max}.jsonl").read_text()
 
 
 # -------------------------------------------------------------- inspect-fsm
