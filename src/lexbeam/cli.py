@@ -9,11 +9,18 @@ go to stderr. Exit codes: 0 success, 1 input error, 2 internal error,
 141 (128 + SIGPIPE) when stdout is closed before the output is written,
 as by ``| head``; that exit writes nothing to stderr and no manifest.
 
+JSON-lines inputs are read as UTF-8 from a path or stdin (``-``),
+whatever the locale; a record ends at ``\\n`` (a ``\\r`` before it is
+stripped). A line that is not valid UTF-8 exits 1 with its line number.
+
 Every run can write a manifest (``--manifest PATH``) recording the
 subcommand, resolved flags, input/output paths, seed and tool version;
-replaying the same invocation reproduces byte-identical output. Wall
-time is recorded only when ``--timings`` is given, keeping manifests
-for repeated runs byte-identical by default.
+replaying the same invocation reproduces byte-identical output. The
+path is checked before any input is read, so an unwritable one exits 1
+before any output; the manifest is written only after a successful run,
+and a run that fails or is cut off leaves no new file and an existing
+one unchanged. Wall time is recorded only when ``--timings`` is given,
+keeping manifests for repeated runs byte-identical by default.
 """
 
 from __future__ import annotations
@@ -70,29 +77,24 @@ class _JsonLogHandler(logging.Handler):
         sys.stderr.write(json.dumps(payload) + "\n")
 
 
-def _open_input(path: str) -> TextIO:
-    if path == "-":
-        return sys.stdin
-    return open(path, "r", encoding="utf-8")
-
-
 class _Records:
-    """Reads JSON-lines records. ``line`` is the 1-based line, blank
-    lines counted, of the record being read or handled, and None outside
-    any record."""
+    """Reads JSON-lines records from a path, or stdin for ``-``, as bytes
+    whatever the locale: a record ends at ``\\n`` and each line is decoded
+    as strict UTF-8. ``line`` is the 1-based line, blank lines counted,
+    of the record being read or handled, and None outside any record."""
 
     line: int | None = None
 
     def __call__(self, path: str) -> Iterator[dict]:
-        fp = _open_input(path)
+        fp = sys.stdin.buffer if path == "-" else open(path, "rb")
         try:
-            for self.line, text in enumerate(fp, 1):
-                text = text.strip()
+            for self.line, raw in enumerate(fp, 1):
+                text = raw.decode("utf-8").strip()
                 if text:
                     yield json.loads(text)
             self.line = None
         finally:
-            if fp is not sys.stdin:
+            if path != "-":
                 fp.close()
 
 
@@ -354,11 +356,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     logger, handler = logging.getLogger("lexbeam"), _JsonLogHandler(logging.WARNING)
     logger.addHandler(handler)
     records = _Records()
+    created = False  # the manifest file is new to this run and not yet written
     try:
+        if args.manifest:  # an unwritable path fails before any input is read
+            existed = os.path.lexists(args.manifest)
+            open(args.manifest, "ab").close()  # appends nothing: an existing file is unchanged
+            created = not existed
         _COMMANDS[args.subcommand](args, sys.stdout, records)
         sys.stdout.flush()  # a closed pipe fails here, not in the flush at exit
         if args.manifest:  # only after success: a failed or cut-off run leaves none
             _write_manifest(args, started)
+            created = False
     except BrokenPipeError:  # the reader left, as `| head` does: not an input error
         _discard_stdout()
         return 141
@@ -370,6 +378,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     finally:
         logger.removeHandler(handler)
+        if created:
+            os.unlink(args.manifest)
     return 0
 
 

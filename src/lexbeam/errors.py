@@ -168,5 +168,10 @@ class EmptyPoolsError(LexbeamError, ValueError):
     """Pooled sampling requested but there are no eligible images at all."""
 
 
+class UnpooledImageError(LexbeamError, ValueError):
+    """An eligible image's class count lies outside the sampling pools
+    (2 to 6 classes): ``exclude()`` was not run first."""
+
+
 class AllClassesIgnoredError(LexbeamError, ValueError):
     """Every class on an image is in the ignored set; cannot classify."""

@@ -213,13 +213,13 @@ class Blacklist:
 
     @classmethod
     def default(cls) -> "Blacklist":
-        text = resources.files("lexbeam.data").joinpath("blacklist.txt").read_text()
+        text = resources.files("lexbeam.data").joinpath("blacklist.txt").read_text(encoding="utf-8")
         return cls.from_names(line for line in text.splitlines() if line.strip())
 
 
 def default_hierarchy() -> ClassHierarchy:
     """The class hierarchy and word-form table shipped with the package."""
-    text = resources.files("lexbeam.data").joinpath("hierarchy.json").read_text()
+    text = resources.files("lexbeam.data").joinpath("hierarchy.json").read_text(encoding="utf-8")
     return ClassHierarchy(json.loads(text))
 
 

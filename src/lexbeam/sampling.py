@@ -33,6 +33,7 @@ from .errors import (
     OverlappingDomainsError,
     TargetTooSmallError,
     UnknownRotationError,
+    UnpooledImageError,
 )
 
 AUTO_INCLUDE_MIN_CLASSES = 7  # more than 6 unique classes
@@ -290,7 +291,7 @@ def sample(
     for img in eligible:
         n = len(img.classes)
         if n not in pools:
-            raise ValueError(
+            raise UnpooledImageError(
                 f"eligible image {img.image_id!r} has {n} classes; "
                 f"run exclude() first (pools cover {POOL_KEYS})"
             )

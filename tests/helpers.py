@@ -2,8 +2,8 @@
 FSM/beam/sampler/model-reader/IoU machinery: plain substring scans,
 exhaustive enumeration, full recounts, a per-triple model reader, a
 dense candidate-block builder, a plain one-beam-per-state search (which
-reads only the compiled FSM's table) and a per-pair overlap
-suppression. Also the fixtures tests build scorers and model files
+reads only the compiled FSM's table), a beam search with no machine at
+all and a per-pair overlap suppression. Also the fixtures tests build scorers and model files
 with: a table scorer and a model-file writer. And ``GOLDEN_RUNS``, the
 one list of golden CLI runs."""
 
@@ -128,6 +128,31 @@ def reference_decode(scorer, fsm, cfg):
     return DecodeResult(
         best.tokens, best.logprob, fsm.satisfied_count(best.fsm_state), {s: tuple(h) for s, h in per_state.items()}
     )
+
+
+def plain_beam_search(scorer, width, max_len):
+    """Standard beam search with no machine, by decode's conventions:
+    each step extends every live hypothesis by every token but the end
+    sentinel, drops -inf and keeps the ``width`` best extensions by
+    ``(-logprob, tokens)``; the end sentinel finishes a hypothesis, and
+    the ``width`` best finite finishers, ranked the same way, are the
+    finalists. Returns a ``DecodeResult`` whose one state, 0, holds
+    them, or raises ``NoHypothesisError`` when nothing finishes."""
+    size, eos = len(scorer.vocab), scorer.vocab.eos_id
+    live, finished = [((), 0.0)], []
+    for step in range(max_len + 1):
+        extended = []
+        for tokens, lp in live:
+            row = [float(x) for x in scorer.next_logprobs(tokens)]
+            if lp + row[eos] > -math.inf:
+                finished.append((tokens + (eos,), lp + row[eos]))
+            if step < max_len:
+                extended += [(tokens + (t,), lp + row[t]) for t in range(size) if t != eos and lp + row[t] > -math.inf]
+        live = sorted(extended, key=lambda h: (-h[1], h[0]))[:width]
+    finalists = tuple(BeamHypothesis(tokens, lp, 0) for tokens, lp in sorted(finished, key=lambda h: (-h[1], h[0]))[:width])
+    if not finalists:
+        raise NoHypothesisError("no completed hypothesis at any satisfaction tier")
+    return DecodeResult(finalists[0].tokens, finalists[0].logprob, 0, {0: finalists})
 
 
 def all_sequences(alphabet, max_len):

@@ -45,6 +45,7 @@ from helpers import (
     GOLDEN_RUNS,
     constrained_argmax,
     groups_to_ids,
+    plain_beam_search,
     random_bigram,
     random_groups,
     scan_satisfied,
@@ -164,7 +165,8 @@ def test_04_empty_constraints_equal_unconstrained_on_50_scorers():
             DecodeConfig(beam_width=width, max_len=max_len),
         )
         direct = decode_unconstrained(model, width, max_len)
-        assert via_fsm == direct
+        # DecodeResult equality compares every state's finalists too
+        assert via_fsm == direct == plain_beam_search(model, width, max_len)
     ok(4, "50/50 scorers: identical results with and without the trivial machine")
 
 

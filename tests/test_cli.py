@@ -172,6 +172,8 @@ HIERARCHY = "filter --hierarchy {d}/h.json --detections {d}/d.jsonl"
 SAMPLE_FLAGS = "sample --target 1 --candidates 1 --seed 0 --images"
 SAMPLE = SAMPLE_FLAGS + " {d}/i.jsonl"
 DOG = {"class": "Dog", "score": 0.9, "box": [0, 0, 1, 1]}
+# captions whose second line holds a Latin-1 byte, not UTF-8
+NON_UTF8 = b'{"caption": "a dog"}\n{"caption": "caf\xe9"}\n'
 
 
 def inspect_files(groups, vocab, min_satisfied=1):
@@ -215,12 +217,17 @@ ERROR_RUNS = [
     ErrorRun("test_unknown_subcommand_exits_one", "frobnicate", {}, "usage"),
     ErrorRun("test_sample_requires_seed", "sample --images {d}/i.jsonl --target 5 --candidates 3", {"i.jsonl": IMAGES}, "usage"),
     ErrorRun("test_missing_input_file_exits_one", "stats --captions {d}/nope.jsonl", {}, "FileNotFoundError"),
-    # the decoder fails on the first block read, before any line is numbered
+    # each line is decoded after it is numbered (was: the first block, with no line)
     ErrorRun("test_non_utf8_input_is_an_input_error", "stats --captions {d}/c.jsonl",
-             {"c.jsonl": b'{"caption": "a dog"}\n{"caption": "caf\xe9"}\n'}, "UnicodeDecodeError"),
-    # written outside the error mapping, its OSError escaped main()
+             {"c.jsonl": NON_UTF8}, "UnicodeDecodeError", 2),
+    # a record ends at \n only; the \r of a \r\n is stripped, a lone \r is inside the line
+    ErrorRun("test_input_error_exits_one[stats-lone-carriage-return]", "stats --captions {d}/c.jsonl",
+             {"c.jsonl": b'{"caption": "a b"}\r\n{"caption": "c"}\r{"caption": "d"}\n'}, "JSONDecodeError", 2),
+    # checked before any input is read (was: after the whole run had printed its output)
     ErrorRun("test_an_unwritable_manifest_is_an_input_error", "--manifest {d}/missing/m.json stats --captions {d}/c.jsonl",
-             {"c.jsonl": jsonl({"caption": "a b"})}, "FileNotFoundError", printed=({"1-grams": 2},)),
+             {"c.jsonl": jsonl({"caption": "a b"})}, "FileNotFoundError"),
+    ErrorRun("test_input_error_exits_one[decode-manifest-directory-missing]", "--manifest {d}/missing/m.json " + DECODE,
+             {"c.jsonl": constraints_line("dog", "park") + "\n"}, "FileNotFoundError"),
     # ---- flags, refused before any record is read
     *(
         ErrorRun(f"test_flag_errors_carry_no_line_and_precede_reading[{records}-argv{i}-{message}]",
@@ -489,6 +496,7 @@ CLI_UNREACHABLE = {
     "LexbeamError": "the base class; only its subclasses are raised",
     "AllClassesIgnoredError": "the domain API is not in the CLI",
     "OverlappingDomainsError": "the domain API is not in the CLI",
+    "UnpooledImageError": "the CLI runs exclude() first, which leaves only images of 2 to 6 classes eligible",
     "EmptyCorpusError": "BigramModel.fit is not in the CLI",
     "MalformedConfigError": "argparse hands DecodeConfig ints and bools",
     "OutOfRangeError": "the CLI never calls ConstraintFSM.step",
@@ -519,11 +527,51 @@ def test_filter_reads_stdin_dash(run, monkeypatch):
 
 
 class _StdinStub:
-    def __init__(self, text):
-        self._lines = text.splitlines(keepends=True)
+    """``sys.stdin`` for an in-process run: the CLI reads only its
+    ``buffer``, which holds the text's lines as UTF-8."""
 
-    def __iter__(self):
-        return iter(self._lines)
+    def __init__(self, text):
+        self.buffer = io.BytesIO(text.encode("utf-8"))
+
+
+# the environments in which the interpreter's stdin codec differs: no
+# locale, C.UTF-8, the C locale without UTF-8 mode, and Latin-1 stdio
+STDIN_ENVIRONMENTS = {
+    "locale-unset": {},
+    "c-utf8": {"LANG": "C.UTF-8"},
+    "c": {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"},
+    "latin-1": {"PYTHONIOENCODING": "latin-1"},
+}
+_LOCALE_VARIABLES = ("LANG", "LANGUAGE", "PYTHONIOENCODING", "PYTHONUTF8", "PYTHONCOERCECLOCALE")
+
+
+@pytest.mark.parametrize("variables", STDIN_ENVIRONMENTS.values(), ids=STDIN_ENVIRONMENTS.keys())
+def test_stdin_and_a_path_give_the_same_outcome_for_the_same_bytes(tmp_path, variables):
+    env = {k: v for k, v in os.environ.items() if k not in _LOCALE_VARIABLES and not k.startswith("LC_")}
+    env.update(variables)
+    (tmp_path / "h.json").write_text(json.dumps([{"class": "café", "forms": [["café"]]}]), encoding="utf-8")
+    detections = json.dumps({"image_id": "c", "detections": [{**DOG, "class": "café"}]}, ensure_ascii=False) + "\n"
+    runs = [
+        (["filter", "--hierarchy", str(tmp_path / "h.json"), "--detections"], detections.encode("utf-8")),
+        (["stats", "--captions"], NON_UTF8),
+    ]
+    outcomes = []
+    for argv, data in runs:
+        (tmp_path / "in.jsonl").write_bytes(data)
+        both = [
+            subprocess.run(
+                [sys.executable, "-m", "lexbeam.cli", *argv, source], input=data, capture_output=True, env=env, timeout=120
+            )
+            for source in (str(tmp_path / "in.jsonl"), "-")
+        ]
+        from_path, from_stdin = ((proc.returncode, proc.stdout, proc.stderr) for proc in both)
+        assert from_stdin == from_path
+        outcomes.append(from_path)
+    (filter_code, filter_out, filter_err), (stats_code, stats_out, stats_err) = outcomes
+    assert (filter_code, filter_err) == (0, b"")
+    assert json.loads(filter_out)["groups"] == [{"label": "café", "alternatives": [["café"]]}]
+    assert (stats_code, stats_out) == (1, b"")
+    assert json.loads(stats_err)["error"] == "UnicodeDecodeError" and json.loads(stats_err)["line"] == 2
 
 
 def test_filter_keeps_stdout_clean_when_warning(run, tmp_path):
@@ -833,6 +881,26 @@ def test_manifest_written_and_deterministic(run, tmp_path):
     assert manifest["wall_time_ms"] is None
     assert str(DATA / "detections.jsonl") in manifest["inputs"]
     assert manifest["flags"]["mode"] == "full"
+
+
+@pytest.mark.parametrize("before", [None, b"an earlier manifest\n"], ids=["new", "existing"])
+@pytest.mark.parametrize("code", [0, 1, 2, 141])
+def test_only_a_successful_run_writes_the_manifest_path(run, tmp_path, monkeypatch, code, before):
+    # the path is opened before any input is read, yet a run that fails
+    # must leave it as it was
+    manifest, cpath = tmp_path / "m.json", tmp_path / "c.jsonl"
+    if before is not None:
+        manifest.write_bytes(before)
+    cpath.write_text(jsonl({"caption": 5 if code == 1 else "a dog"}))
+    if code == 2:
+        monkeypatch.setattr("lexbeam.cli.ngram_stats", lambda captions, n_max: {}[0])
+    if code == 141:
+        monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    assert run("--manifest", str(manifest), "stats", "--captions", str(cpath))[0] == code
+    if code == 0:
+        assert json.loads(manifest.read_text())["subcommand"] == "stats"
+    else:
+        assert (manifest.read_bytes() if manifest.exists() else None) == before
 
 
 def test_manifest_timings_opt_in(run, tmp_path):

@@ -1,9 +1,14 @@
 import logging
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lexbeam
 from lexbeam import (
     Blacklist,
     ClassHierarchy,
@@ -226,6 +231,18 @@ def test_default_blacklist_has_39_classes(blacklist):
     assert "Human eye" in blacklist  # case-insensitive match
     assert "Mammal" in blacklist
     assert "Dog" not in blacklist
+
+
+def test_shipped_data_is_read_as_utf8_whatever_the_locale():
+    # a text read with no encoding follows the locale and warns under
+    # -X warn_default_encoding, which the -W flag makes an error
+    script = "from lexbeam import Blacklist, default_hierarchy; Blacklist.default(); default_hierarchy()"
+    proc = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-c", script],
+        env={**os.environ, "PYTHONPATH": str(Path(lexbeam.__file__).resolve().parents[1])},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 # -------------------------------------------------------------- suppression

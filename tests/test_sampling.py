@@ -33,6 +33,7 @@ from lexbeam.errors import (
     OverlappingDomainsError,
     TargetTooSmallError,
     UnknownRotationError,
+    UnpooledImageError,
 )
 
 from helpers import reference_entropy, reference_sample
@@ -553,8 +554,9 @@ def test_ngram_rejects_nonpositive_n_max():
 def test_sample_rejects_an_eligible_image_outside_the_pools(n_classes):
     # exclude() drops images with one class and admits those with seven
     odd = img("odd", [f"c{i}" for i in range(n_classes)])
-    with pytest.raises(ValueError, match="'odd' has %d classes; run exclude" % n_classes):
+    with pytest.raises(UnpooledImageError, match="'odd' has %d classes; run exclude" % n_classes):
         sample([img("x", ["a", "b"]), odd], [], target_count=2, n_candidates=1, seed=0)
+    assert issubclass(UnpooledImageError, LexbeamError) and issubclass(UnpooledImageError, ValueError)
 
 
 def test_sample_rejects_nonpositive_n_candidates():
