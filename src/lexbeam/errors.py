@@ -155,9 +155,10 @@ class NonPositiveCountError(LexbeamError, ValueError):
 
 
 class MalformedConfigError(LexbeamError, TypeError):
-    """A decode's ``beam_width`` or ``max_len`` is not an ``int``, or is
-    a ``bool``; or its ``min_satisfied_fallback`` or ``length_normalize``
-    is not a ``bool``."""
+    """A decode's ``beam_width`` or ``max_len``, or a sample's
+    ``target_count`` or ``n_candidates``, is not an ``int``, or is a
+    ``bool``; or a decode's ``min_satisfied_fallback`` or
+    ``length_normalize`` is not a ``bool``."""
 
 
 class TargetTooSmallError(LexbeamError, ValueError):

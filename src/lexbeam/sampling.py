@@ -18,15 +18,19 @@ import math
 import random
 import string
 import sys
+from array import array
+from collections.abc import Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Hashable, Iterable, Sequence
+from itertools import repeat
+from operator import eq
 
 import numpy as np
 
 from .errors import (
     AllClassesIgnoredError,
     EmptyPoolsError,
+    MalformedConfigError,
     MalformedImageError,
     MissingFieldError,
     NonPositiveCountError,
@@ -124,14 +128,67 @@ class SampleStep:
     chosen: str
 
 
+class _Trace(Sequence):
+    """The turns of one selection, kept flat: each turn's pool key, its
+    chosen id's position among its drawn ids and its end offset in one
+    list of every turn's drawn ids, in draw order. That is one pointer
+    per drawn id and a few bytes per turn. Each read builds fresh
+    :class:`SampleStep` objects and keeps none."""
+
+    __slots__ = ("_pools", "_ids", "_chosen", "_ends")
+
+    def __init__(self):
+        self._pools = array("b")
+        self._ids: list[str] = []
+        self._chosen = array("q")
+        self._ends = array("q")
+
+    def _add(self, pool: int, ids: Iterable[str], chosen: int) -> None:
+        self._pools.append(pool)
+        self._ids.extend(ids)
+        self._chosen.append(chosen)
+        self._ends.append(len(self._ids))
+
+    def _step(self, turn: int) -> SampleStep:
+        ids = tuple(self._ids[self._ends[turn - 1] if turn else 0 : self._ends[turn]])
+        return SampleStep(self._pools[turn], ids, ids[self._chosen[turn]])
+
+    def __len__(self) -> int:
+        return len(self._pools)
+
+    def __getitem__(self, index):
+        try:
+            turns = range(len(self._pools))[index]
+        except IndexError:
+            raise IndexError("trace index out of range") from None
+        return list(map(self._step, turns)) if isinstance(turns, range) else self._step(turns)
+
+    def __iter__(self) -> Iterator[SampleStep]:
+        return map(self._step, range(len(self._pools)))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 @dataclass
 class SelectionState:
     """Result of :func:`sample`: selected ids in order, the running
-    presence-based class counts and a per-step trace."""
+    presence-based class counts and a per-step trace.
+
+    :func:`sample` fills ``trace`` with a read-only sequence that keeps
+    its turns flat and builds each :class:`SampleStep` on read; it has
+    no ``append``. It equals any sequence of the same steps, a list
+    included, and any sequence of steps may replace it.
+    """
 
     selected: list[str]
     class_counts: dict[str, int]
-    trace: list[SampleStep] = field(default_factory=list)
+    trace: Sequence[SampleStep] = field(default_factory=_Trace)
 
 
 def exclude(images: Sequence[ImageRecord]) -> tuple[list[ImageRecord], list[ImageRecord]]:
@@ -221,14 +278,14 @@ def _choose(
     ``gains`` holds ``_gain(n)`` for every count ``n`` in ``counts``."""
     scored = []
     for at, img in drawn:
-        pre = tuple(sorted(counts.get(c, 0) for c in img.classes))
+        pre = sorted(map(counts.get, img.classes, repeat(0)))
         scored.append((sum(map(gains.__getitem__, pre)), pre, at, img))
     n_classes, new_total = len(counts) + size, total + size  # K (at most) and T after the merge
     e = _UNIT_ROUNDOFF * ((n_classes + 3) * math.log(n_classes) + 1)
     window = _SLACK * (2 * new_total * e + 2 * 12 * size * _UNIT_ROUNDOFF * (math.log(new_total) + 1))
     best = min(gain for gain, *_ in scored)
     near = [(pre, at, img) for gain, pre, at, img in scored if gain <= best + window]
-    if len({pre for pre, _, _ in near}) > 1:
+    if any(pre != near[0][0] for pre, _, _ in near):
         # Different count multisets this close: rank them by class_entropy.
         _, at, img = min(near, key=lambda t: (-_entropy_with(counts, t[2].classes), t[2].image_id, t[1]))
     else:
@@ -268,8 +325,15 @@ def sample(
     is bounded by the number of images selected.
 
     ``class_counts`` lists each class where it first appears, counting
-    each image's classes in sorted order.
+    each image's classes in sorted order. ``trace`` is read-only and
+    builds each turn's :class:`SampleStep` on read (see
+    :class:`SelectionState`). A ``target_count`` or ``n_candidates``
+    that is not an ``int``, or is a ``bool``, raises
+    :class:`MalformedConfigError`.
     """
+    for name, value in (("target_count", target_count), ("n_candidates", n_candidates)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise MalformedConfigError(f"{name} must be an int, got {value!r}")
     if n_candidates < 1:
         raise NonPositiveCountError("n_candidates must be >= 1")
     if target_count < len(auto_include):
@@ -298,7 +362,7 @@ def sample(
         pools[n].append(img)
 
     rng = random.Random(seed)
-    state = SelectionState(selected=selected, class_counts=counts)
+    trace = _Trace()
 
     while len(selected) < target_count and any(pools.values()):
         for key in POOL_KEYS:
@@ -308,20 +372,13 @@ def sample(
             if not pool:
                 continue
             indices = rng.sample(range(len(pool)), min(n_candidates, len(pool)))
-            candidates = [pool[i] for i in indices]
-            chosen_at, chosen = _choose(counts, gains, total, key, zip(indices, candidates))
+            chosen_at, chosen = _choose(counts, gains, total, key, zip(indices, map(pool.__getitem__, indices)))
+            trace._add(key, [pool[i].image_id for i in indices], indices.index(chosen_at))
             pool.pop(chosen_at)
             selected.append(chosen.image_id)
             _count(counts, gains, chosen.classes)
             total += key
-            state.trace.append(
-                SampleStep(
-                    pool=key,
-                    candidates=tuple(img.image_id for img in candidates),
-                    chosen=chosen.image_id,
-                )
-            )
-    return state
+    return SelectionState(selected, counts, trace)
 
 
 def classify_domain(image: ImageRecord, spec: DomainSpec) -> Domain:

@@ -355,7 +355,7 @@ def reference_sample(eligible, auto_include, target_count, n_candidates, seed) -
 
     pools = {k: [img for img in eligible if len(img.classes) == k] for k in POOL_KEYS}
     rng = random.Random(seed)
-    state = SelectionState(selected=selected, class_counts=counts)
+    state = SelectionState(selected=selected, class_counts=counts, trace=[])
     while len(selected) < target_count and any(pools.values()):
         for key in POOL_KEYS:
             if len(selected) >= target_count:

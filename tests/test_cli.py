@@ -498,7 +498,7 @@ CLI_UNREACHABLE = {
     "OverlappingDomainsError": "the domain API is not in the CLI",
     "UnpooledImageError": "the CLI runs exclude() first, which leaves only images of 2 to 6 classes eligible",
     "EmptyCorpusError": "BigramModel.fit is not in the CLI",
-    "MalformedConfigError": "argparse hands DecodeConfig ints and bools",
+    "MalformedConfigError": "argparse hands DecodeConfig ints and bools, and sample ints",
     "OutOfRangeError": "the CLI never calls ConstraintFSM.step",
     "ScorerContractError": "BigramModel's rows are always valid",
     "VocabMismatchError": "decode compiles against the model's own vocabulary",

@@ -1,6 +1,9 @@
+import dataclasses
+import gc
 import math
 import os
 import random
+import re
 import string
 import subprocess
 import sys
@@ -15,6 +18,7 @@ from lexbeam import (
     DomainSpec,
     ImageRecord,
     Rotation,
+    SampleStep,
     class_entropy,
     classify_domain,
     exclude,
@@ -27,6 +31,7 @@ from lexbeam.errors import (
     AllClassesIgnoredError,
     EmptyPoolsError,
     LexbeamError,
+    MalformedConfigError,
     MalformedImageError,
     MissingFieldError,
     NonPositiveCountError,
@@ -115,6 +120,19 @@ def test_target_too_small_and_empty_pools():
         sample([], auto, target_count=2, n_candidates=1, seed=0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("target_count", 2.5), ("target_count", "3"), ("target_count", True),
+     ("n_candidates", 2.5), ("n_candidates", True), ("n_candidates", None)],
+)
+def test_sample_refuses_counts_that_are_not_ints(field, value):
+    eligible = [img(f"e{i}", ["a", f"b{i}"]) for i in range(4)]
+    counts = {"target_count": 3, "n_candidates": 2, field: value}
+    with pytest.raises(MalformedConfigError, match=f"{field} must be an int, got {re.escape(repr(value))}") as info:
+        sample(eligible, [], seed=0, **counts)
+    assert isinstance(info.value, LexbeamError) and isinstance(info.value, TypeError)
+
+
 def test_pool_exhaustion_stops_early():
     eligible = [img("x", ["a", "b"]), img("y", ["b", "c"])]
     state = sample(eligible, [], target_count=10, n_candidates=3, seed=1)
@@ -130,6 +148,51 @@ def test_sample_is_deterministic_and_seed_sensitive():
     assert a.trace == b.trace
     c = sample(eligible, auto, target_count=15, n_candidates=4, seed=100)
     assert a.selected != c.selected  # different draws with a different seed
+
+
+def test_the_trace_reads_as_a_list_of_its_steps():
+    eligible, auto = exclude(fixture_images(40, seed=11))
+    state = sample(eligible, auto, target_count=len(auto) + 12, n_candidates=4, seed=99)
+    steps = list(state.trace)
+    assert len(state.trace) == len(steps) == 12
+    assert all(isinstance(step, SampleStep) for step in steps)
+    assert state.trace == steps and steps == state.trace
+    assert state.trace == tuple(steps) and tuple(steps) == state.trace
+    other = [*steps[:-1], dataclasses.replace(steps[-1], chosen="elsewhere")]
+    for unequal in (steps[:-1], other, None):
+        assert state.trace != unequal and unequal != state.trace
+    for i in range(-len(steps), len(steps)):
+        assert state.trace[i] == steps[i]
+    for i in (len(steps), -len(steps) - 1):
+        with pytest.raises(IndexError):
+            state.trace[i]
+    for cut in (slice(None), slice(2, 7), slice(-3, None), slice(None, None, -2), slice(20, 30)):
+        assert state.trace[cut] == steps[cut]
+    assert not hasattr(state.trace, "append")
+    replaced = dataclasses.replace(state, trace=steps[:3])
+    assert replaced.trace == steps[:3] and replaced.selected == state.selected
+
+    empty = sample([], auto, target_count=len(auto), n_candidates=1, seed=0).trace
+    assert empty == [] and [] == empty and len(empty) == 0 and list(empty) == []
+
+
+def test_a_result_keeps_few_bytes_per_turn():
+    # A trace keeps per turn one pointer per drawn id and a few bytes,
+    # not a SampleStep and a tuple of ids (158 bytes a turn for the
+    # whole result with both).
+    rng = random.Random(96)
+    classes = [f"c{i}" for i in range(600)]
+    eligible = [img(f"i{n:05d}", rng.sample(classes, rng.randint(2, 6))) for n in range(20000)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        state = sample(eligible, [], target_count=3000, n_candidates=5, seed=0)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(state.trace) == 3000
+    assert kept <= 96 * 3000
 
 
 def test_class_counts_match_recount():
