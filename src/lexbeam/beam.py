@@ -77,13 +77,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    MalformedConfigError,
-    NoHypothesisError,
-    NonPositiveCountError,
-    ScorerContractError,
-    VocabMismatchError,
-)
+from .errors import MalformedConfigError, NoHypothesisError, ScorerContractError, VocabMismatchError, check_int
 from .fsm import ConstraintFSM, compile_fsm
 from .scorers import Scorer
 
@@ -113,19 +107,11 @@ class DecodeConfig:
     length_normalize: bool = False
 
     def __post_init__(self):
-        for name, kind, noun in (
-            ("beam_width", int, "an int"),
-            ("max_len", int, "an int"),
-            ("min_satisfied_fallback", bool, "a bool"),
-            ("length_normalize", bool, "a bool"),
-        ):
-            value = getattr(self, name)
-            if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-                raise MalformedConfigError(f"{name} must be {noun}, got {value!r}")
-        if self.beam_width < 1:
-            raise NonPositiveCountError("beam_width must be >= 1")
-        if self.max_len < 1:
-            raise NonPositiveCountError("max_len must be >= 1")
+        check_int("beam_width", self.beam_width, 1)
+        check_int("max_len", self.max_len, 1)
+        for name in ("min_satisfied_fallback", "length_normalize"):
+            if type(getattr(self, name)) is not bool:  # bool has no subclasses
+                raise MalformedConfigError(f"{name} must be a bool, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -220,15 +206,6 @@ def _survivors(lp: np.ndarray, target: np.ndarray, bound: np.ndarray, n_states: 
     live = (lp > -np.inf) & (lp >= floor[target])
     live[:, 0] = False
     return np.flatnonzero(live)
-
-
-def _context_size(scorer: Scorer) -> int | None:
-    """The scorer's declared ``context_size``, checked: ``None`` or an
-    ``int`` >= 0 that is not a ``bool``."""
-    context = getattr(scorer, "context_size", None)
-    if context is not None and (not isinstance(context, int) or isinstance(context, bool) or context < 0):
-        raise ScorerContractError(f"scorer context_size must be None or an int >= 0, got {context!r}")
-    return context
 
 
 def _rows(scorer: Scorer, size: int):
@@ -341,7 +318,9 @@ def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig(
     # Every block has the same layout, so one column map routes them all.
     cols = np.concatenate((fsm.columns[head], np.full(plain_cols, -1)))
 
-    context = _context_size(scorer)
+    context = getattr(scorer, "context_size", None)
+    if context is not None:
+        check_int("scorer context_size", context, 0, ScorerContractError, ScorerContractError)
     # Contexts scored so far in this call: key -> row of the ``stack`` arrays
     # (the blocks' tokens, scores, cuts, best scores below the cut and the
     # ids of their tails), and tail -> tail id.

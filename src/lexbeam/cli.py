@@ -36,7 +36,7 @@ from typing import Iterator, Sequence, TextIO
 from . import __version__
 from .beam import DecodeConfig, decode
 from .errors import DuplicateImageError, LexbeamError, MalformedCaptionError, MalformedDetectionError
-from .errors import MalformedGroupError, QuotaRangeError
+from .errors import MalformedGroupError, QuotaRangeError, check_int, load_json
 from .filtering import (
     DEFAULT_IOU_THRESHOLD,
     DEFAULT_TOP_K,
@@ -91,7 +91,7 @@ class _Records:
             for self.line, raw in enumerate(fp, 1):
                 text = raw.decode("utf-8").strip()
                 if text:
-                    yield json.loads(text)
+                    yield load_json(text)
             self.line = None
         finally:
             if path != "-":
@@ -115,9 +115,7 @@ def _copy_image_id(record: dict, payload: dict, error: type[LexbeamError]) -> No
 
 def _min_satisfied(args: argparse.Namespace) -> int | None:
     """``--min-satisfied``, refused when negative before any record is read."""
-    if args.min_satisfied is not None and args.min_satisfied < 0:
-        raise QuotaRangeError(f"min_satisfied must be non-negative, got {args.min_satisfied}")
-    return args.min_satisfied
+    return None if args.min_satisfied is None else check_int("min_satisfied", args.min_satisfied, 0, QuotaRangeError)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -221,16 +219,10 @@ def _cmd_decode(args: argparse.Namespace, out: TextIO, records: _Records) -> Non
 
 
 def _cmd_filter(args: argparse.Namespace, out: TextIO, records: _Records) -> None:
-    hier = (
-        default_hierarchy()
-        if args.hierarchy is None
-        else ClassHierarchy.from_file(args.hierarchy)
-    )
-    blacklist = (
-        Blacklist.default() if args.blacklist is None else Blacklist.from_file(args.blacklist)
-    )
-    mode = FilterMode(args.mode)
-    filter_constraints([], hier, blacklist, mode, args.top_k, args.iou_threshold)  # checks the flags
+    hier = default_hierarchy() if args.hierarchy is None else ClassHierarchy.from_file(args.hierarchy)
+    blacklist = Blacklist.default() if args.blacklist is None else Blacklist.from_file(args.blacklist)
+    options = (hier, blacklist, FilterMode(args.mode), args.top_k, args.iou_threshold)
+    filter_constraints([], *options)  # checks the flags
     quota = _min_satisfied(args)
     for record in records(args.detections):
         dets = record.get("detections", []) if isinstance(record, dict) else None
@@ -238,14 +230,7 @@ def _cmd_filter(args: argparse.Namespace, out: TextIO, records: _Records) -> Non
             raise MalformedDetectionError(
                 f"a detection record must be an object whose detections are a list, got {record!r}"
             )
-        groups = filter_constraints(
-            [Detection.from_json(d) for d in dets],
-            hier,
-            blacklist,
-            mode=mode,
-            top_k=args.top_k,
-            iou_threshold=args.iou_threshold,
-        )
+        groups = filter_constraints([Detection.from_json(d) for d in dets], *options)
         payload = {
             "min_satisfied": default_quota(len(groups)) if quota is None else check_quota(quota, len(groups)),
             "groups": [g.to_json() for g in groups],
@@ -288,7 +273,7 @@ def _cmd_stats(args: argparse.Namespace, out: TextIO, records: _Records) -> None
 def _cmd_inspect_fsm(args: argparse.Namespace, out: TextIO, records: _Records) -> None:
     groups, k = load_constraints_file(args.constraints)
     with open(args.vocab, "r", encoding="utf-8") as fp:
-        vocab = Vocabulary.from_json(json.load(fp))
+        vocab = Vocabulary.from_json(load_json(fp.read()))
     fsm = compile_fsm(groups, k, vocab, PhraseMatchMode(args.mode))
     accepting = fsm.accepting_states()
     out.write(f"{fsm.state_count} states, {len(accepting)} accepting\n")

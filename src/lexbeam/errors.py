@@ -1,8 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the checks that raise them.
 
 Everything raised on bad *input* derives from :class:`LexbeamError`, so
 callers (and the CLI) can distinguish user errors from genuine bugs.
 """
+
+import json
 
 
 class LexbeamError(Exception):
@@ -149,16 +151,19 @@ class MalformedCaptionError(LexbeamError, TypeError):
 
 
 class NonPositiveCountError(LexbeamError, ValueError):
-    """A count argument that must be at least 1 is not: ``sample``'s
-    ``n_candidates``, ``ngram_stats``'s ``n_max``, or a decode's
-    ``beam_width`` or ``max_len``."""
+    """A count argument that must be at least 1 is not: ``DecodeConfig``'s
+    ``beam_width`` or ``max_len``, ``sample``'s ``n_candidates`` or
+    ``ngram_stats``'s ``n_max``."""
 
 
 class MalformedConfigError(LexbeamError, TypeError):
-    """A decode's ``beam_width`` or ``max_len``, or a sample's
-    ``target_count`` or ``n_candidates``, is not an ``int``, or is a
-    ``bool``; or a decode's ``min_satisfied_fallback`` or
-    ``length_normalize`` is not a ``bool``."""
+    """A library argument has the wrong type. Not an ``int``, or a ``bool``:
+    ``DecodeConfig``'s ``beam_width`` and ``max_len``, ``sample``'s
+    ``target_count``, ``n_candidates`` and ``seed``, ``filter_constraints``'s
+    ``top_k``, ``ngram_stats``'s ``n_max``. Not an ``int`` or ``float``, or a
+    ``bool``: the ``iou_threshold`` of ``filter_constraints`` and
+    ``suppress_overlaps``, ``BigramModel``'s ``alpha``. Not a ``bool``:
+    ``DecodeConfig``'s ``min_satisfied_fallback`` and ``length_normalize``."""
 
 
 class TargetTooSmallError(LexbeamError, ValueError):
@@ -176,3 +181,35 @@ class UnpooledImageError(LexbeamError, ValueError):
 
 class AllClassesIgnoredError(LexbeamError, ValueError):
     """Every class on an image is in the ignored set; cannot classify."""
+
+
+def is_number(value: object, kinds: type | tuple[type, ...] = (int, float)) -> bool:
+    """Whether ``value`` is of ``kinds`` and not a ``bool``, which Python counts as the int 0 or 1."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def check_number(name: str, value: object) -> float:
+    """``value`` if it :func:`is_number`, else :class:`MalformedConfigError`."""
+    if not is_number(value):
+        raise MalformedConfigError(f"{name} must be a number, got {value!r}")
+    return value
+
+
+def check_int(name: str, value, low: int | None = None, low_error=NonPositiveCountError, type_error=MalformedConfigError):
+    """``value`` if it is an ``int`` and not a ``bool`` (else ``type_error``)
+    and, when ``low`` is given, at least ``low`` (else ``low_error``, in the
+    wording each bound has always had: non-negative for 0, ``>= low`` above)."""
+    if not is_number(value, int):
+        raise type_error(f"{name} must be an int, got {value!r}")
+    if low is not None and value < low:
+        raise low_error(f"{name} must be non-negative, got {value}" if low == 0 else f"{name} must be >= {low}")
+    return value
+
+
+def load_json(text: str):
+    """``json.loads(text)``. Nesting too deep for the decoder raises :class:`json.JSONDecodeError`,
+    as other unparsable text does, not the ``RecursionError`` that elsewhere is a bug."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("nesting too deep", text, 0) from None

@@ -10,7 +10,6 @@ expand each into its surface word forms.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -28,6 +27,10 @@ from .errors import (
     MalformedDetectionError,
     MalformedHierarchyError,
     UnknownClassError,
+    check_int,
+    check_number,
+    is_number,
+    load_json,
 )
 from .fsm import ConstraintGroup
 
@@ -68,7 +71,7 @@ class Detection:
         if not isinstance(obj, dict) or not {"class", "score", "box"} <= obj.keys():
             raise MalformedDetectionError(f"a detection needs class, score and box, got {obj!r}")
         score, box = obj["score"], obj["box"]
-        if not isinstance(box, (list, tuple)) or not all(map(_is_number, [score, *box])):
+        if not isinstance(box, (list, tuple)) or not all(map(is_number, [score, *box])):
             raise MalformedDetectionError(f"detection score and box must be numbers, got {score!r} and {box!r}")
         try:
             confidence, coords = float(score), tuple(float(v) for v in box)
@@ -77,10 +80,6 @@ class Detection:
                 f"detection score and box must fit a float, got {score!r:.40} and {box!r:.80}"
             ) from None
         return cls(class_name=str(obj["class"]), confidence=confidence, box=coords)
-
-
-def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _check_box(box: Box) -> None:
@@ -119,7 +118,7 @@ def iou(a: Box, b: Box) -> float:
 
 
 def _check_threshold(iou_threshold: float) -> None:
-    if not 0.0 <= iou_threshold <= 1.0:
+    if not 0.0 <= check_number("iou_threshold", iou_threshold) <= 1.0:
         raise FilterOptionError(f"iou_threshold must lie in [0, 1], got {iou_threshold}")
 
 
@@ -168,7 +167,7 @@ class ClassHierarchy:
     @classmethod
     def from_file(cls, path: str) -> "ClassHierarchy":
         with open(path, "r", encoding="utf-8") as fp:
-            return cls(json.load(fp))
+            return cls(load_json(fp.read()))
 
     def __contains__(self, class_name: str) -> bool:
         return class_name.casefold() in self._parent
@@ -220,7 +219,7 @@ class Blacklist:
 def default_hierarchy() -> ClassHierarchy:
     """The class hierarchy and word-form table shipped with the package."""
     text = resources.files("lexbeam.data").joinpath("hierarchy.json").read_text(encoding="utf-8")
-    return ClassHierarchy(json.loads(text))
+    return ClassHierarchy(load_json(text))
 
 
 def _drop_unknown(dets: Sequence[Detection], hier: ClassHierarchy) -> list[Detection]:
@@ -252,10 +251,14 @@ def suppress_overlaps(
     skipping pairs whose other member is already gone. Survivors keep
     their input order. Detections whose class is not in the hierarchy
     are dropped with a warning. A threshold outside [0, 1] (NaN
-    included) raises :class:`FilterOptionError`.
+    included) raises :class:`FilterOptionError`, a non-number :class:`MalformedConfigError`.
     """
     _check_threshold(iou_threshold)
-    work = _drop_unknown(dets, hier)
+    return _suppress(_drop_unknown(dets, hier), hier, iou_threshold)
+
+
+def _suppress(work: list[Detection], hier: ClassHierarchy, iou_threshold: float) -> list[Detection]:
+    """:func:`suppress_overlaps` on a checked threshold and known classes."""
     # IoU and ancestry never change, so every qualifying pair is scored
     # once and the pairs are applied in the order the removals happen.
     overlaps = _iou_matrix(np.array([d.box for d in work], dtype=np.float64).reshape(-1, 4))
@@ -291,17 +294,17 @@ def filter_constraints(
     class into a :class:`~lexbeam.fsm.ConstraintGroup` over its word
     forms. Detections with classes missing from the hierarchy are
     dropped with a warning. A negative ``top_k`` or an ``iou_threshold``
-    outside [0, 1] raises :class:`FilterOptionError` in every mode.
+    outside [0, 1] raises :class:`FilterOptionError` in every mode, and
+    either of the wrong type (a ``bool`` included) :class:`MalformedConfigError`.
     """
-    if top_k < 0:
-        raise FilterOptionError(f"top_k must be non-negative, got {top_k}")
+    check_int("top_k", top_k, 0, FilterOptionError)
     _check_threshold(iou_threshold)
     mode = FilterMode(mode)
     work = _drop_unknown(dets, hier)
     if mode in (FilterMode.FULL, FilterMode.NO_OVERLAP):
         work = [d for d in work if d.class_name not in blacklist]
     if mode in (FilterMode.FULL, FilterMode.NO_CLASS):
-        work = suppress_overlaps(work, hier, iou_threshold)
+        work = _suppress(work, hier, iou_threshold)
 
     best: dict[str, Detection] = {}
     for det in work:

@@ -58,7 +58,6 @@ map sends each token id to its column. Its state ids are int16 below
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -72,6 +71,8 @@ from .errors import (
     OutOfRangeError,
     QuotaRangeError,
     TooManyGroupsError,
+    check_int,
+    load_json,
 )
 from .vocab import Vocabulary
 
@@ -131,13 +132,6 @@ class ConstraintGroup:
         }
 
 
-def _quota(k) -> int:
-    """``k`` as a ``min_satisfied``: an ``int`` that is not a ``bool``."""
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise MalformedGroupError(f"min_satisfied must be an integer, got {k!r}")
-    return k
-
-
 def default_quota(n_groups: int) -> int:
     """The quota of a record that sets none."""
     return min(2, n_groups)
@@ -145,7 +139,7 @@ def default_quota(n_groups: int) -> int:
 
 def check_quota(k, n_groups: int) -> int:
     """``k`` as the quota of ``n_groups`` groups: in ``[0, n_groups]``, else :class:`QuotaRangeError`."""
-    if not 0 <= _quota(k) <= n_groups:
+    if not 0 <= check_int("min_satisfied", k, type_error=MalformedGroupError) <= n_groups:
         raise QuotaRangeError(f"min_satisfied={k} outside [0, {n_groups}]")
     return k
 
@@ -160,12 +154,13 @@ def load_constraints(obj: dict) -> tuple[list[ConstraintGroup], int]:
         raise MalformedGroupError("a constraint record must be a JSON object whose groups are a list")
     groups = [ConstraintGroup.from_json(g) for g in obj["groups"]]
     k = obj.get("min_satisfied")
-    return groups, default_quota(len(groups)) if k is None else _quota(k)
+    k = default_quota(len(groups)) if k is None else k
+    return groups, check_int("min_satisfied", k, type_error=MalformedGroupError)
 
 
 def load_constraints_file(path: str) -> tuple[list[ConstraintGroup], int]:
     with open(path, "r", encoding="utf-8") as fp:
-        return load_constraints(json.load(fp))
+        return load_constraints(load_json(fp.read()))
 
 
 class ConstraintFSM:

@@ -30,14 +30,13 @@ import numpy as np
 from .errors import (
     AllClassesIgnoredError,
     EmptyPoolsError,
-    MalformedConfigError,
     MalformedImageError,
     MissingFieldError,
-    NonPositiveCountError,
     OverlappingDomainsError,
     TargetTooSmallError,
     UnknownRotationError,
     UnpooledImageError,
+    check_int,
 )
 
 AUTO_INCLUDE_MIN_CLASSES = 7  # more than 6 unique classes
@@ -327,15 +326,13 @@ def sample(
     ``class_counts`` lists each class where it first appears, counting
     each image's classes in sorted order. ``trace`` is read-only and
     builds each turn's :class:`SampleStep` on read (see
-    :class:`SelectionState`). A ``target_count`` or ``n_candidates``
-    that is not an ``int``, or is a ``bool``, raises
-    :class:`MalformedConfigError`.
+    :class:`SelectionState`). A ``target_count``, ``n_candidates`` or
+    ``seed`` that is not an ``int``, or is a ``bool``, raises
+    :class:`MalformedConfigError`: ``seed=None`` would seed from the system.
     """
-    for name, value in (("target_count", target_count), ("n_candidates", n_candidates)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise MalformedConfigError(f"{name} must be an int, got {value!r}")
-    if n_candidates < 1:
-        raise NonPositiveCountError("n_candidates must be >= 1")
+    check_int("target_count", target_count)
+    check_int("n_candidates", n_candidates, 1)
+    check_int("seed", seed)
     if target_count < len(auto_include):
         raise TargetTooSmallError(
             f"target {target_count} below auto-include size {len(auto_include)}"
@@ -425,10 +422,10 @@ def ngram_stats(
     one int64 array, with -1 closing each caption. An n-gram's code is
     the rank of the pair (its (n-1)-gram code, its last token id) among
     all such pairs; the pair value is below len(tokens)**2, so it never
-    overflows. n-grams that span a caption end get code -1.
+    overflows. n-grams that span a caption end get code -1. An ``n_max``
+    that is not an ``int``, or is a ``bool``, raises :class:`MalformedConfigError`.
     """
-    if n_max < 1:
-        raise NonPositiveCountError("n_max must be >= 1")
+    check_int("n_max", n_max, 1)
     ids: dict[Hashable, int] = {}
 
     def stream():
@@ -438,12 +435,14 @@ def ngram_stats(
             yield -1
 
     tokens = np.fromiter(stream(), dtype=np.int64)
-    stats = {1: len(ids)}
+    stats = {1: len(ids), **dict.fromkeys(range(2, n_max + 1), 0)}
     grams = tokens  # grams[i]: code of the n-gram starting at token i
     for n in range(2, n_max + 1):
         prev, last = grams[:-1], tokens[n - 1 :]
         valid = (prev >= 0) & (last >= 0)
         codes, inverse = np.unique(prev[valid] * len(ids) + last[valid], return_inverse=True)
+        if not len(codes):  # no n-gram left, so every longer one counts 0
+            break
         stats[n] = len(codes)
         grams = np.full(len(last), -1, dtype=np.int64)
         grams[valid] = inverse

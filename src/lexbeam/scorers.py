@@ -10,7 +10,6 @@ Returned arrays are read-only; do not mutate them.
 
 from __future__ import annotations
 
-import json
 from itertools import chain
 from typing import Iterable, Mapping, Protocol, Sequence
 
@@ -23,6 +22,8 @@ from .errors import (
     NegativeBigramCountError,
     NonPositiveAlphaError,
     UnknownTokenError,
+    check_number,
+    load_json,
 )
 from .vocab import Vocabulary
 
@@ -119,7 +120,7 @@ class BigramModel:
         of :func:`_read_counts` in input order; when a pair repeats, its
         last triple wins. A bad pair is reported in the order of first
         occurrence, as a dict of the triples would list it."""
-        if not (alpha > 0 and np.isfinite(alpha)):
+        if not (check_number("alpha", alpha) > 0 and np.isfinite(alpha)):
             raise NonPositiveAlphaError(f"alpha must be > 0, got {alpha}")
         size, bos = len(vocab), vocab.bos_id
         known = (v >= 0) & (v < size) & (w >= 0) & (w < size)
@@ -168,7 +169,8 @@ class BigramModel:
         sentence contributes the start-sentinel transition into its
         first token and the transition from its last token into the end
         sentinel. When ``vocab`` is omitted it is built from the sorted
-        set of corpus words.
+        set of corpus words. An ``alpha`` that is not a number raises
+        :class:`MalformedConfigError`, one not > 0 :class:`NonPositiveAlphaError`.
         """
         sentences = [s.split() if isinstance(s, str) else list(s) for s in corpus]
         if not sentences:
@@ -235,4 +237,4 @@ class BigramModel:
     @classmethod
     def load(cls, path: str) -> "BigramModel":
         with open(path, "r", encoding="utf-8") as fp:
-            return cls.from_json(json.load(fp))
+            return cls.from_json(load_json(fp.read()))

@@ -174,6 +174,8 @@ SAMPLE = SAMPLE_FLAGS + " {d}/i.jsonl"
 DOG = {"class": "Dog", "score": 0.9, "box": [0, 0, 1, 1]}
 # captions whose second line holds a Latin-1 byte, not UTF-8
 NON_UTF8 = b'{"caption": "a dog"}\n{"caption": "caf\xe9"}\n'
+# JSON nested deeper than the decoder recurses
+DEEP = "[" * 100_000 + "]" * 100_000
 
 
 def inspect_files(groups, vocab, min_satisfied=1):
@@ -223,6 +225,13 @@ ERROR_RUNS = [
     # a record ends at \n only; the \r of a \r\n is stripped, a lone \r is inside the line
     ErrorRun("test_input_error_exits_one[stats-lone-carriage-return]", "stats --captions {d}/c.jsonl",
              {"c.jsonl": b'{"caption": "a b"}\r\n{"caption": "c"}\r{"caption": "d"}\n'}, "JSONDecodeError", 2),
+    # the decoder's RecursionError exited 2 as an internal error
+    ErrorRun("test_input_error_exits_one[stats-deeply-nested-record]", "stats --captions {d}/c.jsonl",
+             {"c.jsonl": jsonl({"caption": "a b"}) + DEEP + "\n"}, "JSONDecodeError", 2,
+             message="nesting too deep: line 1 column 1 (char 0)"),
+    ErrorRun("test_input_error_exits_one[decode-deeply-nested-model]", MODEL,
+             {"m.json": f'{{"alpha": 1.0, "vocab": {DEEP}, "counts": []}}', "c.jsonl": ""}, "JSONDecodeError",
+             message="nesting too deep: line 1 column 1 (char 0)"),
     # checked before any input is read (was: after the whole run had printed its output)
     ErrorRun("test_an_unwritable_manifest_is_an_input_error", "--manifest {d}/missing/m.json stats --captions {d}/c.jsonl",
              {"c.jsonl": jsonl({"caption": "a b"})}, "FileNotFoundError"),
@@ -498,7 +507,8 @@ CLI_UNREACHABLE = {
     "OverlappingDomainsError": "the domain API is not in the CLI",
     "UnpooledImageError": "the CLI runs exclude() first, which leaves only images of 2 to 6 classes eligible",
     "EmptyCorpusError": "BigramModel.fit is not in the CLI",
-    "MalformedConfigError": "argparse hands DecodeConfig ints and bools, and sample ints",
+    "MalformedConfigError": "argparse types every flag: DecodeConfig gets ints and bools, sample and stats ints, "
+                            "filter an int top_k and a float iou_threshold",
     "OutOfRangeError": "the CLI never calls ConstraintFSM.step",
     "ScorerContractError": "BigramModel's rows are always valid",
     "VocabMismatchError": "decode compiles against the model's own vocabulary",

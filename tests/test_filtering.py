@@ -2,6 +2,7 @@ import logging
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +25,7 @@ from lexbeam.errors import (
     EmptyGroupError,
     InvalidHierarchyError,
     LexbeamError,
+    MalformedConfigError,
     MalformedDetectionError,
     MalformedGroupError,
     MalformedHierarchyError,
@@ -480,6 +482,23 @@ def test_iou_threshold_validation(hier, blacklist, mode):
             filter_constraints(dets, hier, blacklist, mode, iou_threshold=threshold)
         with pytest.raises(ValueError, match="iou_threshold"):
             suppress_overlaps(dets, hier, iou_threshold=threshold)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("top_k", 1.5), ("top_k", "2"), ("top_k", True), ("top_k", None),
+     ("iou_threshold", "x"), ("iou_threshold", True), ("iou_threshold", None)],
+)
+def test_filter_refuses_options_of_the_wrong_type(hier, blacklist, field, value):
+    dets = [det("Dog", 0.9, (0, 0, 1, 1)), det("Mammal", 0.8, (0, 0, 1, 1))]
+    noun = "an int" if field == "top_k" else "a number"
+    message = f"{field} must be {noun}, got {re.escape(repr(value))}"
+    with pytest.raises(MalformedConfigError, match=message) as info:
+        filter_constraints(dets, hier, blacklist, **{field: value})
+    assert isinstance(info.value, LexbeamError) and isinstance(info.value, TypeError)
+    if field == "iou_threshold":
+        with pytest.raises(MalformedConfigError, match=message):
+            suppress_overlaps(dets, hier, iou_threshold=value)
 
 
 def test_detection_record_schema():

@@ -383,7 +383,7 @@ def test_compile_errors(vocab):
 @pytest.mark.parametrize("quota", [1.5, True, False, "1", None, np.int64(1)])
 def test_quota_must_be_an_int(vocab, quota):
     # one check for the compiler and the record reader, with one message
-    message = f"min_satisfied must be an integer, got {re.escape(repr(quota))}"
+    message = f"min_satisfied must be an int, got {re.escape(repr(quota))}"
     with pytest.raises(MalformedGroupError, match=message):
         compile_fsm(single_word_groups("d1", "d2"), quota, vocab)
     if quota is not None:

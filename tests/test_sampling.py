@@ -7,6 +7,7 @@ import re
 import string
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -123,13 +124,15 @@ def test_target_too_small_and_empty_pools():
 @pytest.mark.parametrize(
     "field, value",
     [("target_count", 2.5), ("target_count", "3"), ("target_count", True),
-     ("n_candidates", 2.5), ("n_candidates", True), ("n_candidates", None)],
+     ("n_candidates", 2.5), ("n_candidates", True), ("n_candidates", None),
+     # None would seed from the system, so the selection could not be replayed
+     ("seed", None), ("seed", 1.5), ("seed", "x"), ("seed", True)],
 )
 def test_sample_refuses_counts_that_are_not_ints(field, value):
     eligible = [img(f"e{i}", ["a", f"b{i}"]) for i in range(4)]
-    counts = {"target_count": 3, "n_candidates": 2, field: value}
+    args = {"target_count": 3, "n_candidates": 2, "seed": 0, field: value}
     with pytest.raises(MalformedConfigError, match=f"{field} must be an int, got {re.escape(repr(value))}") as info:
-        sample(eligible, [], seed=0, **counts)
+        sample(eligible, [], **args)
     assert isinstance(info.value, LexbeamError) and isinstance(info.value, TypeError)
 
 
@@ -611,6 +614,24 @@ def test_ngram_counts_monotone_under_corpus_growth():
 def test_ngram_rejects_nonpositive_n_max():
     with pytest.raises(NonPositiveCountError):
         ngram_stats([["a"]], n_max=0)
+
+
+@pytest.mark.parametrize("n_max", [2.5, "3", True, None])
+def test_ngram_refuses_an_n_max_that_is_not_an_int(n_max):
+    with pytest.raises(MalformedConfigError, match=f"n_max must be an int, got {re.escape(repr(n_max))}") as info:
+        ngram_stats([["a", "b"]], n_max=n_max)
+    assert isinstance(info.value, LexbeamError) and isinstance(info.value, TypeError)
+
+
+def test_ngram_counts_past_the_longest_caption_cost_no_loop():
+    # every n-gram longer than the longest caption counts 0; a loop over
+    # each n would take tens of seconds here
+    started = time.perf_counter()
+    stats = ngram_stats([["a", "b"]], 10**6)
+    elapsed = time.perf_counter() - started
+    assert list(stats) == list(range(1, 10**6 + 1))
+    assert stats[1] == 2 and stats[2] == 1 and not any(stats[n] for n in range(3, 10**6 + 1))
+    assert elapsed < 10.0, elapsed
 
 
 @pytest.mark.parametrize("n_classes", [1, 7])

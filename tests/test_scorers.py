@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -9,6 +10,8 @@ import pytest
 from lexbeam import BigramModel, Vocabulary
 from lexbeam.errors import (
     EmptyCorpusError,
+    LexbeamError,
+    MalformedConfigError,
     MalformedModelError,
     NegativeBigramCountError,
     NonPositiveAlphaError,
@@ -127,6 +130,13 @@ def test_fit_errors(vocab):
         BigramModel.fit(["zebra"], vocab=vocab)
     with pytest.raises(UnknownTokenError):
         BigramModel.fit(["a"], vocab=vocab).next_logprobs([42])
+
+
+@pytest.mark.parametrize("alpha", ["1", True, None, [1.0]])
+def test_fit_refuses_an_alpha_that_is_not_a_number(vocab, alpha):
+    with pytest.raises(MalformedConfigError, match=f"alpha must be a number, got {re.escape(repr(alpha))}") as info:
+        BigramModel.fit(["a"], alpha=alpha, vocab=vocab)
+    assert isinstance(info.value, LexbeamError) and isinstance(info.value, TypeError)
 
 
 @pytest.mark.parametrize(
