@@ -14,8 +14,9 @@ Conventions:
   scored like any other step and terminates a hypothesis; its id is
   routed through the machine like any other token, and finishers' token
   sequences include it.
-* Scores are natural-log probabilities, summed; nothing is ever
-  multiplied in linear space.
+* Scores are natural-log probabilities, each at most 0, summed;
+  nothing is ever multiplied in linear space. A scorer row holding a
+  value above 0 raises :class:`ScorerContractError`.
 * Ties in log-probability break toward the lexicographically smallest
   token-id sequence, making results fully deterministic.
 * A hypothesis with probability zero (logprob ``-inf``) is dropped: it
@@ -68,12 +69,23 @@ the search cheap:
   ``beam_width``-th best finisher logprob so far), then resets the bar
   from the store and drops the rows below it, keeping ties for the
   tie-break. So the store stays near ``beam_width`` rows per state.
+* Unless every state's finalists are asked for, the search stops once
+  the winner is settled: when every live row scores strictly below the
+  best finisher meeting the quota so far. No score is above 0, so a
+  row's descendants score at most its logprob (``fl(L + x) <= L`` for
+  ``x <= 0``), and no later finisher can beat or tie that finisher.
+  It and every better finisher are already stored and never drop below
+  their state's bar, so post-selection picks the winner the full search
+  would. The rule never fires before a finisher meets the quota, so the
+  fallback tiers are untouched, nor under ``length_normalize``, where a
+  longer caption can still rank higher.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -99,17 +111,25 @@ class DecodeConfig:
         Post-select by logprob divided by sequence length instead of
         raw logprob. Off by default; the reported logprob is always the
         raw sum either way.
+    finalists:
+        Run the full ``max_len + 1`` steps and return every state's
+        finalists in ``per_state_finalists``. Off by default: the search
+        then stops as soon as every live hypothesis scores strictly
+        below the best finisher meeting the quota, which is exact, as
+        scores never rise, and ``per_state_finalists`` is empty. The
+        winner is the same either way.
     """
 
     beam_width: int = 5
     max_len: int = 20
     min_satisfied_fallback: bool = True
     length_normalize: bool = False
+    finalists: bool = False
 
     def __post_init__(self):
         check_int("beam_width", self.beam_width, 1)
         check_int("max_len", self.max_len, 1)
-        for name in ("min_satisfied_fallback", "length_normalize"):
+        for name in ("min_satisfied_fallback", "length_normalize", "finalists"):
             if type(getattr(self, name)) is not bool:  # bool has no subclasses
                 raise MalformedConfigError(f"{name} must be a bool, got {getattr(self, name)!r}")
 
@@ -170,9 +190,10 @@ class DecodeResult:
     ``tokens`` includes the terminating end-sentinel id;
     ``satisfied_count`` is the actual satisfied-group count of the
     winning hypothesis, which can be below the quota only when the
-    fallback tiers were used. ``per_state_finalists`` maps each FSM
-    state that produced finishers, in increasing order, to its best
-    completed hypotheses (at most ``beam_width``, best first). It holds
+    fallback tiers were used. ``per_state_finalists`` is empty unless
+    the config asked for ``finalists``. Then it maps each FSM state that
+    produced finishers, in increasing order, to its best completed
+    hypotheses (at most ``beam_width``, best first). It holds
     finite-logprob finishers only. :func:`decode` fills it with a
     read-only mapping that builds its hypotheses on first read, with
     equal token ids sharing one int object.
@@ -182,6 +203,10 @@ class DecodeResult:
     logprob: float
     satisfied_count: int
     per_state_finalists: Mapping[int, tuple[BeamHypothesis, ...]] = field(hash=False)
+
+
+# What a result holds when its finalists were not asked for: one shared read-only mapping.
+_NO_FINALISTS: Mapping[int, tuple[BeamHypothesis, ...]] = MappingProxyType({})
 
 
 def _first_per_key(keys: np.ndarray, width: int) -> np.ndarray:
@@ -231,8 +256,8 @@ def _rows(scorer: Scorer, size: int):
             raise ScorerContractError(
                 f"scorer row ids for prefix {prefix!r} are not sorted unique integers in [0, {size})"
             )
-        if not (default < np.inf and (values < np.inf).all()):
-            raise ScorerContractError(f"scorer returned NaN or +inf for prefix {prefix!r}")
+        if not (default <= 0 and (values <= 0).all()):
+            raise ScorerContractError(f"scorer returned NaN, +inf or a value above 0 for prefix {prefix!r}")
         return default, ids, values
 
     return read
@@ -295,9 +320,9 @@ def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig(
     cannot be met and the fallback is disabled, or when no hypothesis
     finishes with a nonzero probability. Raises
     :class:`ScorerContractError` when a scorer row has the wrong shape
-    or holds NaN or +inf, a sparse row's ids are unsorted, repeated or
-    out of range, or the scorer's ``context_size`` is not ``None`` or an
-    ``int`` >= 0.
+    or holds NaN, +inf or a value above 0, a sparse row's ids are
+    unsorted, repeated or out of range, or the scorer's ``context_size``
+    is not ``None`` or an ``int`` >= 0.
     """
     vocab = scorer.vocab
     if len(vocab) != fsm.vocab_size:
@@ -344,6 +369,11 @@ def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig(
     # and each state's ``width``-th best finisher logprob so far.
     store = (seqs[:0], np.empty(0), np.empty(0, dtype=fsm.table.dtype))
     bar = np.full(fsm.state_count, -np.inf)
+    masks = fsm.table[:, -1]  # a state's mask state is numbered by its satisfied-group bits
+    # The best finisher logprob meeting the quota so far; it stays -inf
+    # where the search runs to the end.
+    stop = not (cfg.finalists or cfg.length_normalize)
+    best_met = -np.inf
 
     for step in range(cfg.max_len + 1):
         if context is None:
@@ -395,7 +425,11 @@ def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig(
         if done.any():
             ends = seqs[done]
             ends[:, step] = eos
-            store = tuple(np.concatenate(part) for part in zip(store, (ends, end_lp[done], end_state[done])))
+            fin_lp, fin_state = end_lp[done], end_state[done]
+            if stop:
+                met = np.bitwise_count(masks[fin_state]) >= fsm.min_satisfied
+                best_met = max(best_met, fin_lp.max(where=met, initial=-np.inf))
+            store = tuple(np.concatenate(part) for part in zip(store, (ends, fin_lp, fin_state)))
             fin_lp, fin_state = store[1:]
             order = np.lexsort((-fin_lp, fin_state))
             ranked = fin_state[order]
@@ -412,7 +446,8 @@ def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig(
         flat = at // cols.size * size + ids.take(at)
         order = np.lexsort((flat, -lp, target))
         keep = order[_first_per_key(target[order], width)]
-        if not keep.size:
+        # Every later finisher scores at most its live ancestor's logprob.
+        if not keep.size or lp[keep].max() < best_met:
             break
         keep = keep[np.argsort(flat[keep])]
         rows, tokens = np.divmod(flat[keep], size)
@@ -429,7 +464,7 @@ def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig(
     order = order[_first_per_key(fin_state[order], width)]
     length = (ends >= 0).sum(1)[order]
     ends, fin_lp, fin_state = ends[order, :length.max(initial=0)], fin_lp[order], fin_state[order]
-    satisfied = np.array([fsm.satisfied_count(s) for s in fin_state.tolist()], dtype=int)
+    satisfied = np.bitwise_count(masks[fin_state]).astype(int)
 
     reached = satisfied.max(initial=-1)
     if reached < fsm.min_satisfied and not cfg.min_satisfied_fallback:
@@ -447,13 +482,14 @@ def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig(
         tokens=tuple(ends[best, :length[best]].tolist()),
         logprob=fin_lp[best].item(),
         satisfied_count=satisfied[best].item(),
-        per_state_finalists=_Finalists(ends, fin_lp, fin_state),
+        per_state_finalists=_Finalists(ends, fin_lp, fin_state) if cfg.finalists else _NO_FINALISTS,
     )
 
 
 def decode_unconstrained(
     scorer: Scorer, beam_width: int = 5, max_len: int = 20
 ) -> DecodeResult:
-    """Standard beam search: decoding against the trivial one-state machine."""
+    """Standard beam search: decoding against the trivial one-state machine,
+    with the default config's early stop and no finalists."""
     fsm = compile_fsm([], 0, scorer.vocab)
     return decode(scorer, fsm, DecodeConfig(beam_width=beam_width, max_len=max_len))

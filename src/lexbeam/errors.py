@@ -60,8 +60,9 @@ class DuplicateTokenError(LexbeamError, ValueError):
 
 
 class ScorerContractError(LexbeamError, ValueError):
-    """A scorer returned a row of the wrong shape or with NaN or +inf, or
-    a sparse row whose ids are unsorted, repeated, out of range or not
+    """A scorer returned a row of the wrong shape or with NaN, +inf or a
+    value above 0 (scores are natural-log probabilities, each at most 0),
+    or a sparse row whose ids are unsorted, repeated, out of range or not
     as many as its values, or declares a ``context_size`` that is not
     ``None`` or an ``int`` >= 0."""
 
@@ -75,7 +76,8 @@ class EmptyCorpusError(LexbeamError, ValueError):
 
 
 class NonPositiveAlphaError(LexbeamError, ValueError):
-    """Smoothing constant must be strictly positive."""
+    """Smoothing constant must be strictly positive and finite: an int
+    past the float range is refused too."""
 
 
 class NegativeBigramCountError(LexbeamError, ValueError):
@@ -84,7 +86,8 @@ class NegativeBigramCountError(LexbeamError, ValueError):
 
 class MalformedModelError(LexbeamError, TypeError):
     """A bigram model file is not an object with ``alpha``, ``vocab`` and
-    ``counts``, its ``counts`` is not a list of ``[v, w, c]`` triples, or
+    ``counts``, its ``alpha`` is not a number (a ``bool`` included) that
+    fits a float, its ``counts`` is not a list of ``[v, w, c]`` triples, or
     an entry of one (or of a ``BigramModel``'s ``{(v, w): c}`` counts) is
     not a number ``int()`` accepts or lies outside int64."""
 

@@ -55,13 +55,16 @@ class FilterMode(str, Enum):
 class Detection:
     """One detector output: class name, confidence, axis-aligned box
     (x_min, y_min, x_max, y_max; absolute pixels or normalized, as long
-    as one convention is used per file)."""
+    as one convention is used per file). The confidence and the box
+    coordinates must be numbers (not ``bool``), or
+    :class:`MalformedDetectionError` is raised."""
 
     class_name: str
     confidence: float
     box: Box
 
     def __post_init__(self):
+        _check_numbers(self.confidence, self.box)
         _check_box(self.box)
         if not 0.0 <= self.confidence <= 1.0:
             raise ConfidenceRangeError(f"confidence {self.confidence} outside [0, 1]")
@@ -71,8 +74,7 @@ class Detection:
         if not isinstance(obj, dict) or not {"class", "score", "box"} <= obj.keys():
             raise MalformedDetectionError(f"a detection needs class, score and box, got {obj!r}")
         score, box = obj["score"], obj["box"]
-        if not isinstance(box, (list, tuple)) or not all(map(is_number, [score, *box])):
-            raise MalformedDetectionError(f"detection score and box must be numbers, got {score!r} and {box!r}")
+        _check_numbers(score, box)  # before float(), which would read a numeric string
         try:
             confidence, coords = float(score), tuple(float(v) for v in box)
         except OverflowError:  # a JSON integer past the float range
@@ -80,6 +82,11 @@ class Detection:
                 f"detection score and box must fit a float, got {score!r:.40} and {box!r:.80}"
             ) from None
         return cls(class_name=str(obj["class"]), confidence=confidence, box=coords)
+
+
+def _check_numbers(score, box) -> None:
+    if not isinstance(box, (list, tuple)) or not all(map(is_number, [score, *box])):
+        raise MalformedDetectionError(f"detection score and box must be numbers, got {score!r} and {box!r}")
 
 
 def _check_box(box: Box) -> None:

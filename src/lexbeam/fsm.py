@@ -89,7 +89,7 @@ class PhraseMatchMode(str, Enum):
     FAILURE = "failure"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstraintGroup:
     """One constraint: alternative token sequences, any of which satisfies it.
 

@@ -2,7 +2,8 @@
 
 :class:`Scorer` is what the beam decoder expects: a ``vocab`` attribute
 plus ``next_logprobs(prefix)`` returning a proper log-distribution
-(natural log) over the full vocabulary for the next token.
+(natural-log probabilities, each at most 0) over the full vocabulary for
+the next token.
 :class:`BigramModel`, the deterministic scorer the demos and the CLI
 use, also serves each row in sparse form, through ``sparse_logprobs``.
 Returned arrays are read-only; do not mutate them.
@@ -10,6 +11,7 @@ Returned arrays are read-only; do not mutate them.
 
 from __future__ import annotations
 
+import sys
 from itertools import chain
 from typing import Iterable, Mapping, Protocol, Sequence
 
@@ -23,6 +25,7 @@ from .errors import (
     NonPositiveAlphaError,
     UnknownTokenError,
     check_number,
+    is_number,
     load_json,
 )
 from .vocab import Vocabulary
@@ -40,8 +43,11 @@ class Scorer(Protocol):
     ``None`` or an ``int`` >= 0 (a ``bool`` included) raises
     :class:`ScorerContractError`. It is a property of the model, not a
     setting: declare it only when it holds, as results are wrong
-    otherwise. Rows must have shape ``(len(vocab),)`` and hold no NaN or
-    +inf; the decoder raises :class:`ScorerContractError` otherwise.
+    otherwise. Rows must have shape ``(len(vocab),)`` and hold
+    natural-log probabilities, each at most 0: no NaN, no +inf and no
+    value above 0, or the decoder raises :class:`ScorerContractError`.
+    The decoder's early stop relies on this, as it makes a prefix's score
+    an upper bound on the score of every extension.
 
     A scorer may also offer ``sparse_logprobs(prefix) -> (default, ids,
     values)``, the same row as one default plus its exceptions: ``ids``
@@ -52,8 +58,8 @@ class Scorer(Protocol):
     triple must describe the row ``next_logprobs`` returns; the decoder
     raises :class:`ScorerContractError` on unsorted, repeated or
     out-of-range ids, on ``ids`` and ``values`` of different lengths,
-    and on NaN or +inf. A scorer without it is read as default -inf
-    with every id listed.
+    and on NaN, +inf or a value above 0, the default included. A scorer
+    without it is read as default -inf with every id listed.
     """
 
     vocab: Vocabulary
@@ -120,8 +126,10 @@ class BigramModel:
         of :func:`_read_counts` in input order; when a pair repeats, its
         last triple wins. A bad pair is reported in the order of first
         occurrence, as a dict of the triples would list it."""
-        if not (check_number("alpha", alpha) > 0 and np.isfinite(alpha)):
-            raise NonPositiveAlphaError(f"alpha must be > 0, got {alpha}")
+        if not check_number("alpha", alpha) > 0:
+            raise NonPositiveAlphaError(f"alpha must be > 0, got {alpha!s:.40}")
+        if not alpha <= sys.float_info.max:  # compared exactly, so an int past the float range is refused too
+            raise NonPositiveAlphaError(f"alpha must be finite and fit a float, got {alpha!s:.40}")
         size, bos = len(vocab), vocab.bos_id
         known = (v >= 0) & (v < size) & (w >= 0) & (w < size)
         # One key per pair, never formed from an unknown id. Every row lists <s> at -inf:
@@ -170,7 +178,8 @@ class BigramModel:
         first token and the transition from its last token into the end
         sentinel. When ``vocab`` is omitted it is built from the sorted
         set of corpus words. An ``alpha`` that is not a number raises
-        :class:`MalformedConfigError`, one not > 0 :class:`NonPositiveAlphaError`.
+        :class:`MalformedConfigError`, one not > 0 or past the float range
+        :class:`NonPositiveAlphaError`.
         """
         sentences = [s.split() if isinstance(s, str) else list(s) for s in corpus]
         if not sentences:
@@ -226,10 +235,13 @@ class BigramModel:
         except MalformedVocabularyError as exc:
             raise MalformedModelError(f"model {exc}") from None
         columns = _read_counts(obj["counts"])
+        alpha = obj["alpha"]
+        if not is_number(alpha):
+            raise MalformedModelError(f"model alpha must be a number, got {alpha!r:.40}")
         try:
-            alpha = float(obj["alpha"])
-        except (TypeError, ValueError):
-            raise MalformedModelError(f"model alpha must be a number, got {obj['alpha']!r}") from None
+            alpha = float(alpha)
+        except OverflowError:  # a JSON integer past the float range
+            raise MalformedModelError(f"model alpha must fit a float, got {alpha!r:.40}") from None
         model = cls.__new__(cls)
         model._build(vocab, *columns, alpha)
         return model

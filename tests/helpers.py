@@ -78,6 +78,11 @@ def dense_candidates(row, offset, eos, special, plain, width):
     return tokens, scores, cut, np.max(rest, where=rest < cut, initial=-np.inf)
 
 
+def winner(result):
+    """A ``DecodeResult``'s winner, as ``(tokens, logprob, satisfied_count)``."""
+    return result.tokens, result.logprob, result.satisfied_count
+
+
 def reference_decode(scorer, fsm, cfg):
     """Plain-Python constrained beam search with one beam per FSM state:
     every live hypothesis is extended by every token but the end

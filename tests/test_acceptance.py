@@ -6,6 +6,7 @@ substring scans, exhaustive sequence enumeration, recomputed entropies
 and set-based n-gram recounts.
 """
 
+import dataclasses
 import json
 import math
 import random
@@ -49,6 +50,7 @@ from helpers import (
     random_bigram,
     random_groups,
     scan_satisfied,
+    winner,
     write_model,
 )
 
@@ -159,14 +161,15 @@ def test_04_empty_constraints_equal_unconstrained_on_50_scorers():
         model = random_bigram(rng, vocab)
         width = rng.randint(1, 6)
         max_len = rng.randint(1, 6)
-        via_fsm = decode(
-            model,
-            compile_fsm([], 0, vocab),
-            DecodeConfig(beam_width=width, max_len=max_len),
-        )
+        cfg = DecodeConfig(beam_width=width, max_len=max_len)
+        via_fsm = decode(model, compile_fsm([], 0, vocab), cfg)
         direct = decode_unconstrained(model, width, max_len)
-        # DecodeResult equality compares every state's finalists too
-        assert via_fsm == direct == plain_beam_search(model, width, max_len)
+        assert via_fsm == direct
+        # decode_unconstrained's definition, asked for finalists: DecodeResult
+        # equality compares every state's finalists too
+        full = decode(model, compile_fsm([], 0, vocab), dataclasses.replace(cfg, finalists=True))
+        assert full == plain_beam_search(model, width, max_len)
+        assert winner(direct) == winner(full)
     ok(4, "50/50 scorers: identical results with and without the trivial machine")
 
 

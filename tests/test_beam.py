@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import re
@@ -40,6 +41,7 @@ from helpers import (
     reference_decode,
     scan_satisfied,
     sequence_logprob,
+    winner,
 )
 
 
@@ -105,8 +107,12 @@ def test_empty_constraints_equal_unconstrained_bitwise():
         cfg = DecodeConfig(beam_width=rng.randint(1, 6), max_len=rng.randint(1, 5))
         via_fsm = decode(model, compile_fsm([], 0, vocab), cfg)
         direct = decode_unconstrained(model, cfg.beam_width, cfg.max_len)
-        # DecodeResult equality compares every state's finalists too
-        assert via_fsm == direct == plain_beam_search(model, cfg.beam_width, cfg.max_len)
+        assert via_fsm == direct
+        # decode_unconstrained's definition, asked for finalists: DecodeResult
+        # equality compares every state's finalists too
+        full = decode(model, compile_fsm([], 0, vocab), dataclasses.replace(cfg, finalists=True))
+        assert full == plain_beam_search(model, cfg.beam_width, cfg.max_len)
+        assert winner(direct) == winner(full)
 
 
 def oracle_cases():
@@ -247,7 +253,7 @@ def test_one_scorer_call_per_distinct_last_k_tokens():
     for _ in range(25):
         groups = random_groups(rng, vocab, max_groups=3, max_phrase_len=2)
         fsm = compile_fsm(groups, rng.randint(0, len(groups)), vocab, rng.choice(list(PhraseMatchMode)))
-        cfg = DecodeConfig(beam_width=rng.randint(1, 4), max_len=rng.randint(3, 7))
+        cfg = DecodeConfig(beam_width=rng.randint(1, 4), max_len=rng.randint(3, 7), finalists=True)
         want = _reference_outcome(base, fsm, cfg)
         per_prefix = _Recording(base, None)
         assert _outcome(per_prefix, fsm, cfg) == want
@@ -279,7 +285,7 @@ def test_context_size_zero_scores_one_row_per_decode():
     with np.errstate(divide="ignore"):
         scorer = TableScorer(vocab, {}, default=np.log(weights / weights.sum()))
     fsm = compile_fsm([ConstraintGroup("b", (("b", "c"),))], 1, vocab)
-    cfg = DecodeConfig(beam_width=3, max_len=5)
+    cfg = DecodeConfig(beam_width=3, max_len=5, finalists=True)
     recording = _Recording(scorer, 0)
     assert decode(recording, fsm, cfg) == reference_decode(scorer, fsm, cfg)
     assert recording.prefixes == [()]
@@ -296,7 +302,7 @@ def test_decode_past_int16_state_ids_matches_the_reference(n_groups):
     fsm = compile_fsm(groups, 2, vocab)
     assert fsm.state_count == 2**n_groups
     assert fsm.table.dtype == (np.int16 if n_groups < 15 else np.int32)
-    cfg = DecodeConfig(beam_width=1, max_len=3)
+    cfg = DecodeConfig(beam_width=1, max_len=3, finalists=True)
     result = decode(model, fsm, cfg)
     assert result == reference_decode(model, fsm, cfg)
     assert max(result.per_state_finalists) >= 2**(n_groups - 1)
@@ -462,7 +468,7 @@ def test_finalist_states_are_consistent_with_their_tokens():
     model = random_bigram(rng, vocab)
     groups = random_groups(rng, vocab, max_groups=2, max_phrase_len=2)
     fsm = compile_fsm(groups, 1, vocab)
-    result = decode(model, fsm, DecodeConfig(beam_width=4, max_len=4))
+    result = decode(model, fsm, DecodeConfig(beam_width=4, max_len=4, finalists=True))
     assert result.per_state_finalists
     for state, finalists in result.per_state_finalists.items():
         for hyp in finalists:
@@ -492,7 +498,7 @@ def test_finisher_ties_at_a_states_bar_across_steps_keep_the_token_order():
         default=row(eos=1.0),
     )
     fsm = compile_fsm([], 0, vocab)
-    cfg = DecodeConfig(beam_width=2, max_len=3)
+    cfg = DecodeConfig(beam_width=2, max_len=3, finalists=True)
     result, want = decode(scorer, fsm, cfg), reference_decode(scorer, fsm, cfg)
     assert result == want
     assert [hyp.tokens for hyp in result.per_state_finalists[fsm.initial_state]] == [(eos,), (a, c, eos)]
@@ -601,7 +607,9 @@ def test_scorer_contract_violations_raise():
     nan_row[vocab.id("a")] = np.nan
     long_row = np.log(np.full(len(vocab) + 1, 1 / (len(vocab) + 1)))
     inf_row = np.array([-np.inf, np.log(0.5), np.inf, np.log(0.5)])
-    for row in (nan_row, inf_row, long_row, long_row.reshape(1, -1)):
+    # scores are log-probabilities: the decoder's early stop relies on none being above 0
+    positive_row = np.array([-np.inf, np.log(0.5), 0.5, np.log(0.5)])
+    for row in (nan_row, inf_row, positive_row, long_row, long_row.reshape(1, -1)):
         with pytest.raises(ScorerContractError):
             decode_unconstrained(_Broken(vocab, row), beam_width=4, max_len=3)
     # sparse rows: (default, ids, values) over ids 0..3
@@ -619,6 +627,8 @@ def test_scorer_contract_violations_raise():
         ("NaN", (np.nan, np.array([], dtype=int), np.array([]))),
         ("[+]inf", (np.inf, np.array([0]), np.array([-np.inf]))),
         ("[+]inf", (-np.inf, np.array([0, 1, 2, 3]), np.array([-np.inf, half, np.inf, half]))),
+        ("above 0", (0.25, np.array([2, 3]), np.array([half, half]))),
+        ("above 0", (half, np.array([2, 3]), np.array([half, np.nextafter(0.0, 1.0)]))),
     ]:
         with pytest.raises(ScorerContractError, match=message):
             decode_unconstrained(_BrokenSparse(vocab, row), beam_width=4, max_len=3)
@@ -725,7 +735,11 @@ def test_decode_matches_the_reference_search(monkeypatch):
     # no blocks and no floor, decoded from the scorer's sparse rows and
     # from its dense rows with the sparse method hidden; the floor has
     # to drop candidates in many problems, and the rounding-tie rebuild
-    # has to run
+    # has to run. The default config, which stops once the winner is
+    # settled, must pick the same winner (or raise the same error),
+    # reading fewer rows in many problems and the same rows under
+    # length_normalize; its rows are read through a declared context of
+    # 1, 2 or none
     survivors, candidates = beam._survivors, beam._candidates
     seen = Counter()
 
@@ -737,6 +751,9 @@ def test_decode_matches_the_reference_search(monkeypatch):
     def counted_candidates(row, offset, *layout):
         seen["rebuilt"] += offset != 0.0  # a rebuilt row's logprob is never 0
         return candidates(row, offset, *layout)
+
+    def settled(outcome):
+        return winner(outcome) if isinstance(outcome, DecodeResult) else outcome
 
     monkeypatch.setattr(beam, "_survivors", counted_survivors)
     monkeypatch.setattr(beam, "_candidates", counted_candidates)
@@ -758,6 +775,7 @@ def test_decode_matches_the_reference_search(monkeypatch):
             max_len=rng.randint(1, 7),
             min_satisfied_fallback=rng.random() < 0.5,
             length_normalize=rng.random() < 0.2,
+            finalists=True,
         )
         seen["dropped"] = 0
         want = _reference_outcome(scorer, fsm, cfg)
@@ -767,8 +785,21 @@ def test_decode_matches_the_reference_search(monkeypatch):
                 assert list(got.per_state_finalists) == list(want.per_state_finalists)
         kinds["floor dropped"] += seen["dropped"] > 0
         kinds[type(want).__name__, mode] += 1
+        declared = (None, 1, 2)[problem % 3]
+        full_rows, early_rows = _Recording(scorer, declared), _Recording(scorer, declared)
+        assert settled(_outcome(full_rows, fsm, cfg)) == settled(want)
+        early = dataclasses.replace(cfg, finalists=False)
+        for got in (_outcome(scorer, fsm, early), _outcome(early_rows, fsm, early)):
+            assert settled(got) == settled(want)
+            assert not isinstance(got, DecodeResult) or got.per_state_finalists == {}
+        # the stop cuts the full search short and changes nothing before it
+        assert early_rows.prefixes == full_rows.prefixes[:len(early_rows.prefixes)]
+        if cfg.length_normalize:
+            assert early_rows.prefixes == full_rows.prefixes
+        kinds["fewer rows"] += len(early_rows.prefixes) < len(full_rows.prefixes)
     assert kinds["floor dropped"] >= 0.3 * problems, kinds
-    assert seen["rebuilt"] >= 40, seen  # both decodes count: 20 each
+    assert kinds["fewer rows"] >= 0.2 * problems, kinds  # 428 of 1500 when written
+    assert seen["rebuilt"] >= 40, seen  # every decode counts; the two full ones alone give 554
     assert min(kinds[kind, mode] for kind in ("DecodeResult", "tuple") for mode in PhraseMatchMode) >= 50, kinds
 
 
@@ -797,7 +828,7 @@ def test_finalists_share_one_int_object_per_token_id():
     rng = random.Random(5)
     model = BigramModel.fit([" ".join(rng.choices(words, k=5)) for _ in range(30)], alpha=0.01, vocab=vocab)
     fsm = compile_fsm([ConstraintGroup("a", (("w301",),))], 1, vocab)
-    result = decode(model, fsm, DecodeConfig(beam_width=4, max_len=6))
+    result = decode(model, fsm, DecodeConfig(beam_width=4, max_len=6, finalists=True))
     objects: dict[int, set[int]] = {}
     for hyps in result.per_state_finalists.values():
         for hyp in hyps:
@@ -814,7 +845,7 @@ def test_finalists_keep_token_ids_past_int16():
     big = [f"w{i}" for i in range(2**15, 2**15 + 4)]
     model = BigramModel.fit([" ".join(big), " ".join(big[::-1])], alpha=0.01, vocab=vocab)
     fsm = compile_fsm([ConstraintGroup("a", ((big[2],),))], 1, vocab)
-    result = decode(model, fsm, DecodeConfig(beam_width=3, max_len=5))
+    result = decode(model, fsm, DecodeConfig(beam_width=3, max_len=5, finalists=True))
     assert min(result.tokens[:-1]) >= vocab.id(big[0]) > 2**15
     assert fsm.table.dtype == np.int16  # 2 states
     assert result.per_state_finalists._arrays[0].dtype == np.int32
@@ -841,7 +872,7 @@ def test_config_refuses_counts_that_are_not_ints(field, value):
     assert isinstance(info.value, LexbeamError) and isinstance(info.value, TypeError)
 
 
-@pytest.mark.parametrize("field", ["min_satisfied_fallback", "length_normalize"])
+@pytest.mark.parametrize("field", ["min_satisfied_fallback", "length_normalize", "finalists"])
 @pytest.mark.parametrize("value", ["off", "no", 0, 1, None])
 def test_config_refuses_flags_that_are_not_bools(field, value):
     with pytest.raises(MalformedConfigError, match=f"{field} must be a bool, got {re.escape(repr(value))}") as info:
@@ -913,7 +944,7 @@ def test_kept_result_retains_narrow_finalist_arrays():
         for g in range(6)
     ]
     fsm = compile_fsm(groups, 5, vocab)
-    cfg = DecodeConfig(beam_width=5, max_len=20)
+    cfg = DecodeConfig(beam_width=5, max_len=20, finalists=True)
     assert size == 1000 and fsm.state_count > 300
     decode(model, fsm, cfg)  # anything built once per model or machine is built now
     gc.collect()
@@ -977,7 +1008,7 @@ def test_finalists_read_as_one_mapping_built_once():
     vocab = Vocabulary([f"w{i}" for i in range(6)])
     model = random_bigram(rng, vocab)
     fsm = compile_fsm(random_groups(rng, vocab, max_groups=2, max_phrase_len=2), 1, vocab)
-    result = decode(model, fsm, DecodeConfig(beam_width=3, max_len=5))
+    result = decode(model, fsm, DecodeConfig(beam_width=3, max_len=5, finalists=True))
     finalists = result.per_state_finalists
     built = dict(finalists)
     assert len(built) > 1 and list(built) == sorted(built)
@@ -989,3 +1020,19 @@ def test_finalists_read_as_one_mapping_built_once():
     assert hash(plain) == hash(result)
     with pytest.raises(TypeError):
         finalists[0] = ()
+
+
+def test_results_keep_no_finalists_unless_asked():
+    # the default config's results share one empty read-only mapping
+    rng = random.Random(23)
+    vocab = Vocabulary([f"w{i}" for i in range(6)])
+    model = random_bigram(rng, vocab)
+    fsm = compile_fsm(random_groups(rng, vocab, max_groups=2, max_phrase_len=2), 1, vocab)
+    cfg = DecodeConfig(beam_width=3, max_len=5)
+    first, second = decode(model, fsm, cfg), decode_unconstrained(model, 3, 5)
+    assert first.per_state_finalists == {} and first.per_state_finalists is second.per_state_finalists
+    with pytest.raises(TypeError):
+        first.per_state_finalists[0] = ()
+    assert winner(first) == winner(decode(model, fsm, dataclasses.replace(cfg, finalists=True)))
+    with pytest.raises(MalformedConfigError, match="finalists must be a bool"):
+        DecodeConfig(finalists="yes")

@@ -297,6 +297,16 @@ ERROR_RUNS = [
     ErrorRun("test_input_error_exits_one[decode-model-alpha-0]", MODEL,
              {"m.json": json.dumps({"alpha": 0, "vocab": ["a"], "counts": []}), "c.jsonl": ""}, "NonPositiveAlphaError",
              message="alpha must be > 0, got 0.0"),
+    # a JSON integer past the float range exited 2 (OverflowError); true and "1.5" were read as 1.0 and 1.5
+    ErrorRun("test_input_error_exits_one[decode-model-alpha-past-float]", MODEL,
+             {"m.json": '{"alpha": 1' + "0" * 399 + ', "vocab": ["a"], "counts": []}', "c.jsonl": ""},
+             "MalformedModelError", message="model alpha must fit a float, got 1" + "0" * 39),
+    *(
+        ErrorRun(f"test_input_error_exits_one[decode-model-alpha-{id_}]", MODEL,
+                 {"m.json": json.dumps({"alpha": alpha, "vocab": ["a"], "counts": []}), "c.jsonl": ""},
+                 "MalformedModelError", message=f"model alpha must be a number, got {alpha!r}")
+        for id_, alpha in [("true", True), ("string", "1.5")]
+    ),
     # ---- hierarchy files: errors that name no record
     *(
         ErrorRun(f"test_filter_rejects_malformed_hierarchy_files[hierarchy{i}]", HIERARCHY, hierarchy_files(hierarchy),

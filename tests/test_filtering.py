@@ -137,6 +137,25 @@ def test_detection_validation():
         det("Dog", 1.5, (0, 0, 1, 1))
 
 
+@pytest.mark.parametrize(
+    "confidence, box",
+    [
+        ("0.5", (0, 0, 1, 1)),
+        (0.5, ("0", "0", "1", "1")),
+        (0.5, (0, 0, "1", 1)),
+        (True, (0, 0, 1, 1)),
+        (0.5, (0, 0, 1, True)),
+        (None, (0, 0, 1, 1)),
+        (0.5, 5),
+    ],
+)
+def test_detection_refuses_values_that_are_not_numbers(confidence, box):
+    # the constructor checks types as from_json does (was: a bare TypeError, or True taken as 1)
+    with pytest.raises(MalformedDetectionError, match="detection score and box must be numbers") as info:
+        Detection("Dog", confidence, box)
+    assert isinstance(info.value, LexbeamError) and isinstance(info.value, TypeError)
+
+
 # --------------------------------------------------------------- hierarchy
 
 

@@ -140,6 +140,39 @@ def test_fit_refuses_an_alpha_that_is_not_a_number(vocab, alpha):
 
 
 @pytest.mark.parametrize(
+    "alpha, message",
+    [(10**400, "finite and fit a float"), (float("inf"), "finite and fit a float"), (-(10**400), "> 0")],
+    ids=["int-past-float", "inf", "negative-int"],
+)
+def test_fit_refuses_an_alpha_past_the_float_range(vocab, alpha, message):
+    # an int past the float range raised numpy's bare TypeError
+    with pytest.raises(NonPositiveAlphaError, match=f"alpha must be {message}"):
+        BigramModel.fit(["a"], alpha=alpha, vocab=vocab)
+
+
+def test_rows_hold_no_score_above_zero():
+    # the decoder refuses a row value above 0 (its early stop relies on it),
+    # so no model the CLI can load may hold one: fitted and count-map models
+    rng = random.Random(2024)
+    for n in range(3000):
+        vocab = Vocabulary([f"w{i}" for i in range(rng.randint(1, 8))])
+        alpha = rng.choice([1e-3, 0.1, 1, 2])
+        if n % 2:
+            corpus = [rng.choices(vocab.content_tokens, k=rng.randint(0, 5)) for _ in range(rng.randint(1, 6))]
+            model = BigramModel.fit(corpus, alpha=alpha, vocab=vocab)
+        else:
+            size = len(vocab)
+            counts = {
+                (rng.randrange(size), rng.randrange(size)): rng.choice([0, 1, 3, 40, rng.randrange(2**62)])
+                for _ in range(rng.randint(0, 3 * size))
+            }
+            model = BigramModel(vocab, counts, alpha)
+        for prefix in [()] + [(v,) for v in range(len(vocab))]:
+            default, ids, values = model.sparse_logprobs(prefix)
+            assert default <= 0 and (values <= 0).all(), (n, prefix, default, values)
+
+
+@pytest.mark.parametrize(
     "counts, error, message",
     [
         ({(0, 2): 1, (4, 2): 1, (2, 2): -1}, UnknownTokenError, "count pair (4, 2) out of range"),
