@@ -369,7 +369,6 @@ def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig(
     # and each state's ``width``-th best finisher logprob so far.
     store = (seqs[:0], np.empty(0), np.empty(0, dtype=fsm.table.dtype))
     bar = np.full(fsm.state_count, -np.inf)
-    masks = fsm.table[:, -1]  # a state's mask state is numbered by its satisfied-group bits
     # The best finisher logprob meeting the quota so far; it stays -inf
     # where the search runs to the end.
     stop = not (cfg.finalists or cfg.length_normalize)
@@ -427,7 +426,7 @@ def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig(
             ends[:, step] = eos
             fin_lp, fin_state = end_lp[done], end_state[done]
             if stop:
-                met = np.bitwise_count(masks[fin_state]) >= fsm.min_satisfied
+                met = fsm.satisfied_counts(fin_state) >= fsm.min_satisfied
                 best_met = max(best_met, fin_lp.max(where=met, initial=-np.inf))
             store = tuple(np.concatenate(part) for part in zip(store, (ends, fin_lp, fin_state)))
             fin_lp, fin_state = store[1:]
@@ -464,7 +463,7 @@ def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig(
     order = order[_first_per_key(fin_state[order], width)]
     length = (ends >= 0).sum(1)[order]
     ends, fin_lp, fin_state = ends[order, :length.max(initial=0)], fin_lp[order], fin_state[order]
-    satisfied = np.bitwise_count(masks[fin_state]).astype(int)
+    satisfied = fsm.satisfied_counts(fin_state)
 
     reached = satisfied.max(initial=-1)
     if reached < fsm.min_satisfied and not cfg.min_satisfied_fallback:

@@ -64,7 +64,9 @@ class Detection:
     box: Box
 
     def __post_init__(self):
-        _check_numbers(self.confidence, self.box)
+        # Floats in a tuple, as from_json passes after its own check, need none.
+        if type(self.box) is not tuple or {type(self.confidence), *map(type, self.box)} != {float}:
+            _check_numbers(self.confidence, self.box)
         _check_box(self.box)
         if not 0.0 <= self.confidence <= 1.0:
             raise ConfidenceRangeError(f"confidence {self.confidence} outside [0, 1]")

@@ -171,8 +171,9 @@ class ConstraintFSM:
     constraint token and a last column holding the state's mask state
     (the target of every other token), and ``columns`` maps each
     vocabulary id to its column. Immutable once built; :meth:`step`,
-    :meth:`accepting` and :meth:`satisfied_count` are pure reads and
-    safe to share across threads. Use :func:`compile_fsm` to construct one.
+    :meth:`accepting`, :meth:`satisfied_count` and
+    :meth:`satisfied_counts` are pure reads and safe to share across
+    threads. Use :func:`compile_fsm` to construct one.
     """
 
     __slots__ = (
@@ -183,6 +184,7 @@ class ConstraintFSM:
         "n_groups",
         "mode",
         "_progress",
+        "_counts",
     )
 
     def __init__(
@@ -201,6 +203,12 @@ class ConstraintFSM:
             array.flags.writeable = False
         self.tokens, self.table, self.columns = tokens, table, columns
         self._progress = progress  # (group, alt, matched) per state; matched 0 on mask states
+        # Each mask's set-bit count: mask m + 2**g counts one more than m below 2**g.
+        counts = np.zeros(1, dtype=np.int8)
+        for _ in range(n_groups):
+            counts = np.concatenate((counts, counts + 1))
+        counts.flags.writeable = False
+        self._counts = counts
         self.min_satisfied = min_satisfied
         self.n_groups = n_groups
         self.mode = mode
@@ -245,15 +253,18 @@ class ConstraintFSM:
 
     def satisfied_count(self, state: int) -> int:
         """Number of groups satisfied on every path into ``state``."""
-        return self.satisfied_mask(state).bit_count()
+        return int(self._counts[self.satisfied_mask(state)])
+
+    def satisfied_counts(self, states: np.ndarray) -> np.ndarray:
+        """:meth:`satisfied_count` of every entry of ``states``, unchecked."""
+        return self._counts[self.table[states, -1]]
 
     def accepting(self, state: int) -> bool:
         """True iff at least ``min_satisfied`` groups are satisfied in ``state``."""
         return self.satisfied_count(state) >= self.min_satisfied
 
     def accepting_states(self) -> tuple[int, ...]:
-        masks = self.table[:, -1].tolist()
-        return tuple(s for s, mask in enumerate(masks) if mask.bit_count() >= self.min_satisfied)
+        return tuple(np.flatnonzero(self._counts[self.table[:, -1]] >= self.min_satisfied).tolist())
 
     def describe_state(self, state: int) -> str:
         bits = format(self.satisfied_mask(state), f"0{max(self.n_groups, 1)}b")

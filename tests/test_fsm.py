@@ -172,6 +172,17 @@ def test_satisfied_count_examples(vocab):
     assert fsm.satisfied_count(state) == 2
 
 
+@pytest.mark.parametrize("n", [0, 1, 5, MAX_GROUPS])
+def test_satisfied_counts_are_the_mask_bit_counts(n):
+    words = [f"w{i}" for i in range(n)]
+    fsm = compile_fsm(single_word_groups(*words), n // 2, Vocabulary(words + ["x"]))
+    want = [bin(fsm.satisfied_mask(s)).count("1") for s in range(fsm.state_count)]
+    assert fsm.satisfied_counts(np.arange(fsm.state_count)).tolist() == want
+    assert fsm.satisfied_counts(np.array([fsm.state_count - 1, 0])).tolist() == [n, 0]
+    assert [fsm.satisfied_count(s) for s in range(fsm.state_count)] == want
+    assert fsm.accepting_states() == tuple(s for s, count in enumerate(want) if count >= n // 2)
+
+
 # ----------------------------------------------------------------- oracles
 
 
