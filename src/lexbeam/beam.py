@@ -69,15 +69,15 @@ the search cheap:
   ``beam_width``-th best finisher logprob so far), then resets the bar
   from the store and drops the rows below it, keeping ties for the
   tie-break. So the store stays near ``beam_width`` rows per state.
-* Unless every state's finalists are asked for, the search stops once
-  the winner is settled: when every live row scores strictly below the
-  best finisher meeting the quota so far. No score is above 0, so a
-  row's descendants score at most its logprob (``fl(L + x) <= L`` for
-  ``x <= 0``), and no later finisher can beat or tie that finisher.
-  It and every better finisher are already stored and never drop below
-  their state's bar, so post-selection picks the winner the full search
-  would. The rule never fires before a finisher meets the quota, so the
-  fallback tiers are untouched, nor under ``length_normalize``, where a
+* Unless every state's finalists are asked for, every state's floor
+  starts at the best finisher meeting the quota so far. No score is
+  above 0, so a row's descendants score at most its logprob
+  (``fl(L + x) <= L`` for ``x <= 0``) and a candidate below that
+  finisher cannot beat or tie it. It and every better finisher are
+  stored and never drop below their state's bar, so post-selection
+  picks the full search's winner; the search stops when no candidate
+  survives. Until a finisher meets the quota nothing changes, so the
+  fallback tiers are untouched, as is ``length_normalize``, where a
   longer caption can still rank higher.
 """
 
@@ -114,10 +114,10 @@ class DecodeConfig:
     finalists:
         Run the full ``max_len + 1`` steps and return every state's
         finalists in ``per_state_finalists``. Off by default: the search
-        then stops as soon as every live hypothesis scores strictly
-        below the best finisher meeting the quota, which is exact, as
-        scores never rise, and ``per_state_finalists`` is empty. The
-        winner is the same either way.
+        then drops every candidate scoring strictly below the best
+        finisher meeting the quota, which is exact, as scores never
+        rise, stops when none is left, and ``per_state_finalists`` is
+        empty. The winner is the same either way.
     """
 
     beam_width: int = 5
@@ -214,19 +214,19 @@ def _first_per_key(keys: np.ndarray, width: int) -> np.ndarray:
     return np.arange(len(keys)) - np.searchsorted(keys, keys) < width
 
 
-def _survivors(lp: np.ndarray, target: np.ndarray, bound: np.ndarray, n_states: int) -> np.ndarray:
+def _survivors(lp: np.ndarray, target: np.ndarray, bound: np.ndarray, n_states: int, best_met: float) -> np.ndarray:
     """Flat indices of the candidates that can still be among their
-    target state's best.
+    target state's best and still lead to the winner.
 
     ``lp`` and ``target`` hold the candidates' scores and target states,
     one block per hypothesis, and the block of row i puts at least
     ``beam_width`` candidates scoring ``bound[i]`` or more into its mask
     state, the target of its last (plain) column. A candidate below the
-    largest such bound of its target has ``beam_width`` better ones there
-    and cannot survive; one tied with it is kept for the token-order
+    largest such bound of its target, or below ``best_met``, cannot
+    survive or win; one tied with that floor is kept for the token-order
     tie-break. The first column, the end sentinel, never extends a row.
     """
-    floor = np.full(n_states, -np.inf)
+    floor = np.full(n_states, best_met)
     np.maximum.at(floor, target[:, -1], bound)
     live = (lp > -np.inf) & (lp >= floor[target])
     live[:, 0] = False
@@ -369,9 +369,9 @@ def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig(
     # and each state's ``width``-th best finisher logprob so far.
     store = (seqs[:0], np.empty(0), np.empty(0, dtype=fsm.table.dtype))
     bar = np.full(fsm.state_count, -np.inf)
-    # The best finisher logprob meeting the quota so far; it stays -inf
-    # where the search runs to the end.
-    stop = not (cfg.finalists or cfg.length_normalize)
+    # The best finisher logprob meeting the quota so far, where every survivor
+    # floor starts; it stays -inf where the search runs to the end.
+    prune = not (cfg.finalists or cfg.length_normalize)
     best_met = -np.inf
 
     for step in range(cfg.max_len + 1):
@@ -425,7 +425,7 @@ def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig(
             ends = seqs[done]
             ends[:, step] = eos
             fin_lp, fin_state = end_lp[done], end_state[done]
-            if stop:
+            if prune:
                 met = fsm.satisfied_counts(fin_state) >= fsm.min_satisfied
                 best_met = max(best_met, fin_lp.max(where=met, initial=-np.inf))
             store = tuple(np.concatenate(part) for part in zip(store, (ends, fin_lp, fin_state)))
@@ -440,14 +440,13 @@ def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig(
 
         # Each row's ``width`` best plain candidates score at least
         # ``logprobs + cut``; a rebuilt row's too, as its cut is that sum.
-        at = _survivors(lp, target, logprobs + cut, fsm.state_count)
+        at = _survivors(lp, target, logprobs + cut, fsm.state_count, best_met)
+        if not at.size:
+            break
         lp, target = lp.take(at), target.take(at)
         flat = at // cols.size * size + ids.take(at)
         order = np.lexsort((flat, -lp, target))
         keep = order[_first_per_key(target[order], width)]
-        # Every later finisher scores at most its live ancestor's logprob.
-        if not keep.size or lp[keep].max() < best_met:
-            break
         keep = keep[np.argsort(flat[keep])]
         rows, tokens = np.divmod(flat[keep], size)
         seqs = seqs[rows]
@@ -488,7 +487,7 @@ def decode(scorer: Scorer, fsm: ConstraintFSM, cfg: DecodeConfig = DecodeConfig(
 def decode_unconstrained(
     scorer: Scorer, beam_width: int = 5, max_len: int = 20
 ) -> DecodeResult:
-    """Standard beam search: decoding against the trivial one-state machine,
-    with the default config's early stop and no finalists."""
+    """Standard beam search against the trivial one-state machine: no
+    finalists, and no candidate below the best finisher so far survives."""
     fsm = compile_fsm([], 0, scorer.vocab)
     return decode(scorer, fsm, DecodeConfig(beam_width=beam_width, max_len=max_len))

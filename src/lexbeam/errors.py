@@ -169,6 +169,11 @@ class MalformedConfigError(LexbeamError, TypeError):
     ``DecodeConfig``'s ``min_satisfied_fallback`` and ``length_normalize``."""
 
 
+class NGramOrderError(LexbeamError, ValueError):
+    """``ngram_stats``'s ``n_max`` is above
+    :data:`~lexbeam.sampling.MAX_NGRAM_ORDER`; checked before any work."""
+
+
 class TargetTooSmallError(LexbeamError, ValueError):
     """Selection target smaller than the unconditionally included set."""
 

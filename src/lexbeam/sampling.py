@@ -32,6 +32,7 @@ from .errors import (
     EmptyPoolsError,
     MalformedImageError,
     MissingFieldError,
+    NGramOrderError,
     OverlappingDomainsError,
     TargetTooSmallError,
     UnknownRotationError,
@@ -41,6 +42,8 @@ from .errors import (
 
 AUTO_INCLUDE_MIN_CLASSES = 7  # more than 6 unique classes
 POOL_KEYS = (2, 3, 4, 5, 6)
+# The largest ``n_max`` of ``ngram_stats``, whose result holds one key per n.
+MAX_NGRAM_ORDER = 1 << 20
 
 
 class Rotation(str, Enum):
@@ -423,9 +426,11 @@ def ngram_stats(
     the rank of the pair (its (n-1)-gram code, its last token id) among
     all such pairs; the pair value is below len(tokens)**2, so it never
     overflows. n-grams that span a caption end get code -1. An ``n_max``
-    that is not an ``int``, or is a ``bool``, raises :class:`MalformedConfigError`.
+    that is not an ``int``, or is a ``bool``, raises :class:`MalformedConfigError`,
+    and one above :data:`MAX_NGRAM_ORDER` :class:`NGramOrderError`, before any work.
     """
-    check_int("n_max", n_max, 1)
+    if check_int("n_max", n_max, 1) > MAX_NGRAM_ORDER:
+        raise NGramOrderError(f"n_max must be <= {MAX_NGRAM_ORDER}, got {n_max}")
     ids: dict[Hashable, int] = {}
 
     def stream():

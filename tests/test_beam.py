@@ -735,16 +735,18 @@ def test_decode_matches_the_reference_search(monkeypatch):
     # no blocks and no floor, decoded from the scorer's sparse rows and
     # from its dense rows with the sparse method hidden; the floor has
     # to drop candidates in many problems, and the rounding-tie rebuild
-    # has to run. The default config, which stops once the winner is
-    # settled, must pick the same winner (or raise the same error),
-    # reading fewer rows in many problems and the same rows under
-    # length_normalize; its rows are read through a declared context of
-    # 1, 2 or none
+    # has to run. The default config, which drops every candidate below
+    # the best finisher meeting the quota, must pick the same winner (or
+    # raise the same error), reading fewer rows in many problems. Which
+    # row first reads a shared context depends on which rows survive, so
+    # it reads no context the full search does not, and the very same
+    # rows under length_normalize or when no finisher meets the quota;
+    # its rows are read through a declared context of 1, 2 or none
     survivors, candidates = beam._survivors, beam._candidates
     seen = Counter()
 
-    def counted_survivors(lp, target, bound, n_states):
-        at = survivors(lp, target, bound, n_states)
+    def counted_survivors(lp, target, bound, n_states, best_met):
+        at = survivors(lp, target, bound, n_states, best_met)
         seen["dropped"] += int((lp[:, 1:] > -np.inf).sum()) - at.size
         return at
 
@@ -793,16 +795,34 @@ def test_decode_matches_the_reference_search(monkeypatch):
         for got in (_outcome(scorer, fsm, early), _outcome(early_rows, fsm, early)):
             assert settled(got) == settled(want)
             assert not isinstance(got, DecodeResult) or got.per_state_finalists == {}
-        # the stop cuts the full search short and changes nothing before it
-        assert early_rows.prefixes == full_rows.prefixes[:len(early_rows.prefixes)]
-        if cfg.length_normalize:
+        # contexts as the decoder keys them: the last ``declared`` tokens, or the whole prefix
+        contexts = [{p[len(p) - (declared or len(p)):] for p in rows.prefixes} for rows in (early_rows, full_rows)]
+        assert contexts[0] <= contexts[1]
+        unmet = not isinstance(want, DecodeResult) or want.satisfied_count < fsm.min_satisfied
+        if cfg.length_normalize or unmet:
             assert early_rows.prefixes == full_rows.prefixes
+        kinds["quota unmet"] += unmet
+        kinds["same rows"] += cfg.length_normalize or unmet
         kinds["fewer rows"] += len(early_rows.prefixes) < len(full_rows.prefixes)
         seen["rebuilt"] = rebuilt
     assert kinds["floor dropped"] >= 0.3 * problems, kinds
-    assert kinds["fewer rows"] >= 0.2 * problems, kinds  # 428 of 1500 when written
+    assert kinds["quota unmet"] >= 0.1 * problems, kinds  # 238 of 1500 when written
+    assert kinds["same rows"] >= 0.3 * problems, kinds  # 487
+    assert kinds["fewer rows"] >= 0.33 * problems, kinds  # 562; 428 with a stop and no pruning
     assert seen["rebuilt"] >= 40, seen  # both first decodes count: 20 each
     assert min(kinds[kind, mode] for kind in ("DecodeResult", "tuple") for mode in PhraseMatchMode) >= 50, kinds
+
+
+def test_survivors_floor_starts_at_the_best_finisher_meeting_the_quota():
+    # two rows of [end, special, special, plain]; the rows' own bounds put
+    # mask state 0's floor at -2.5, and nothing bounds state 2
+    lp = np.array([[-0.1, -2.0, -1.5, -1.0], [-0.1, -1.5, -4.0, -2.5]])
+    target = np.array([[1, 2, 2, 0], [1, 2, 0, 0]])
+    bound = np.array([-3.0, -2.5])
+    assert beam._survivors(lp, target, bound, 3, -np.inf).tolist() == [1, 2, 3, 5, 7]
+    # below -1.5 nothing survives, whatever its state's own floor; ties stay
+    assert beam._survivors(lp, target, bound, 3, -1.5).tolist() == [2, 3, 5]
+    assert beam._survivors(lp, target, bound, 3, -0.05).size == 0  # the end column never survives
 
 
 class _SparseOnly(BigramModel):

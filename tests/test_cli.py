@@ -267,6 +267,9 @@ ERROR_RUNS = [
     ),
     ErrorRun("test_stats_rejects_a_nonpositive_n_max", "stats --captions {d}/c.jsonl --n-max 0",
              {"c.jsonl": jsonl({"caption": "a dog"})}, "NonPositiveCountError", message="n_max must be >= 1"),
+    # one key per n: 10**9 built a dict of 10**9 keys
+    ErrorRun("test_stats_rejects_an_n_max_past_the_bound", "stats --captions {d}/c.jsonl --n-max 1000000000",
+             {"c.jsonl": jsonl({"caption": "a dog"})}, "NGramOrderError", message="n_max must be <= 1048576, got 1000000000"),
     # the candidate count is checked after every image is read
     ErrorRun("test_errors_outside_any_record_carry_no_line", "sample --images {d}/i.jsonl --target 3 --candidates 0 --seed 0",
              {"i.jsonl": IMAGES}, "NonPositiveCountError", message="n_candidates must be >= 1"),

@@ -35,6 +35,7 @@ from lexbeam.errors import (
     MalformedConfigError,
     MalformedImageError,
     MissingFieldError,
+    NGramOrderError,
     NonPositiveCountError,
     OverlappingDomainsError,
     TargetTooSmallError,
@@ -614,6 +615,21 @@ def test_ngram_counts_monotone_under_corpus_growth():
 def test_ngram_rejects_nonpositive_n_max():
     with pytest.raises(NonPositiveCountError):
         ngram_stats([["a"]], n_max=0)
+
+
+def test_ngram_bounds_n_max_before_reading_a_caption(monkeypatch):
+    def unread():
+        raise AssertionError("a caption was read")
+        yield
+
+    for n_max in (sampling.MAX_NGRAM_ORDER + 1, 10**9):
+        with pytest.raises(NGramOrderError, match=f"n_max must be <= {sampling.MAX_NGRAM_ORDER}, got {n_max}") as info:
+            ngram_stats(unread(), n_max=n_max)
+        assert isinstance(info.value, LexbeamError) and isinstance(info.value, ValueError)
+    monkeypatch.setattr(sampling, "MAX_NGRAM_ORDER", 3)
+    assert ngram_stats([["a", "b"]], n_max=3) == {1: 2, 2: 1, 3: 0}
+    with pytest.raises(NGramOrderError, match="n_max must be <= 3, got 4"):
+        ngram_stats([["a", "b"]], n_max=4)
 
 
 @pytest.mark.parametrize("n_max", [2.5, "3", True, None])
